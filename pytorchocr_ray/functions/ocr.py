@@ -120,44 +120,29 @@ class OcrEngine:
             )
         return sort_boxes(boxes)
 
-    def _maybe_tps(self, part: np.ndarray) -> np.ndarray:
+    def crop_region(self, gray: np.ndarray, box: np.ndarray) -> np.ndarray:
+        """Perspective crop of one box, rotated upright if tall, then the
+        curvature-gated TPS rectification when ``use_tps`` is on."""
+        part = maybe_rot90(get_part_img(gray, box.astype(np.float64)))
         if self.cfg.use_tps:
             from .tps import tps_rectify_curved
 
             return tps_rectify_curved(part)
         return part
 
-    def crop(self, gray: np.ndarray, box: np.ndarray) -> np.ndarray:
-        """Perspective crop + tall-rotation + optional 0/180 correction."""
-        part = self._maybe_tps(
-            maybe_rot90(get_part_img(gray, box.astype(np.float64)))
-        )
-        if self.cfg.use_cls:
-            label, _p = self.cls(part)
-            if label == "180":
-                part = np.ascontiguousarray(part[::-1, ::-1])
-        return part
-
-    def recognize(self, crop: np.ndarray) -> tuple[str, float]:
-        return ctc_greedy_decode(self.rec(crop))
-
-    def crop_and_recognize(
-        self, gray: np.ndarray, box: np.ndarray
-    ) -> tuple[str, float]:
-        """Fused crop -> cls -> rec sharing ONE window/similarity pass.
+    def recognize_crop(self, part: np.ndarray) -> tuple[str, float]:
+        """Optional 0/180 cls -> rec -> CTC on one crop, sharing ONE
+        window/similarity pass between cls and rec.
 
         The cls orientation score and the rec logits are both functions of
         the same sliding-window template similarities; computing them once
         (and only re-scanning when the crop is actually 180-rotated) gives
-        identical outputs to crop()+recognize() at ~60% of the matmul cost.
+        the outputs of ``cls`` then ``rec`` at ~60% of the matmul cost.
         Exactness: for the upright path the reused sims are the exact
         arrays rec(crop) would compute.
         """
         from .models import _window_stack, rec_prepare
 
-        part = self._maybe_tps(
-            maybe_rot90(get_part_img(gray, box.astype(np.float64)))
-        )
         if not self.cfg.use_cls:
             return ctc_greedy_decode(self.rec(part))
         norm = rec_prepare(part)
@@ -178,6 +163,13 @@ class OcrEngine:
                 return ctc_greedy_decode(self.rec(rot))
         probs = self.rec._logits(wins.reshape(len(wins), -1))
         return ctc_greedy_decode(probs)
+
+    def crop_and_recognize(
+        self, gray: np.ndarray, box: np.ndarray
+    ) -> tuple[str, float]:
+        """One region of ``gray``: :meth:`crop_region` then
+        :meth:`recognize_crop`."""
+        return self.recognize_crop(self.crop_region(gray, box))
 
     def ocr_image(self, gray: np.ndarray) -> list[tuple[np.ndarray, str, float]]:
         """Full chain on one image -> [(box (4,2) int16, text, prob), ...] in

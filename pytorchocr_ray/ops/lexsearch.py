@@ -38,7 +38,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from . import read
-from .hashing import TOKEN_SPLIT_RE, sql_tokens
+from .hashing import sql_tokens
 
 S = 1000  # fixed-point scale for k1 / b
 K1S = 1200  # k1 = 1.2

@@ -3,13 +3,16 @@
     documents ──mb──> explode spans ──mb──> normalize text spans
               ──mb-actor──> OCR (decode → det → DB post → sort → crop →
                             cls → rec → CTC)            [fused actor pool]
-              ── groupby(doc_id).map_groups ──> ordered span sequence
+              ──mb──> block-local reassembly (groupby(doc_id) after a
+                      shuffle) ──> ordered span sequence
               ──> write_parquet / Dataset
 
-One shuffle total (the doc_id groupby). Media payloads are broadcast once
-via ``ray.put`` and looked up inside the actors — no shuffle join for the
-sidecar. The split det/rec plan (``fused=False``) shows the independent
-GPU-pool topology at the cost of crop traffic.
+Zero shuffles by default: documents stay block-contiguous through the map
+stages, so reassembly runs block-local (``reassemble="local"``). Media
+payloads are looked up inside the actors, from a sharded parquet store each
+actor reads lazily (a single-file sidecar is broadcast via ``ray.put``) —
+no shuffle join for the sidecar. The split det/rec plan (``fused=False``)
+shows the independent GPU-pool topology at the cost of crop traffic.
 """
 
 from __future__ import annotations
@@ -20,6 +23,12 @@ from ..functions.ocr import OcrConfig
 from ..stages.ocr_stage import DetStage, OcrStage, RecStage
 from ..stages.reassemble import reassemble_block, reassemble_group
 from ..stages.spans import explode_spans, normalize_text_spans
+
+# Block granularity: OCR costs ~10ms per media row, so a good task is O(100)
+# rows. Splitting the read into ~8 blocks per actor keeps the pool busy in
+# many waves (no straggler tail from media-heavy blocks); the count scales
+# with the pool, not the data size.
+BLOCKS_PER_ACTOR = 8
 
 
 def load_media_store(media_path: str):
@@ -69,7 +78,6 @@ def extract_dataset(
     pre_filter=None,
     reassemble: str = "local",
     media_mode: str = "store",
-    blocks_per_actor: int = 8,
 ):
     """Build the lazy extraction Dataset (flat EXTRACTED_FLAT rows).
 
@@ -97,15 +105,11 @@ def extract_dataset(
         weights_ref = put_weights()
     conc = concurrency or default_concurrency()
 
-    # Block granularity: OCR costs ~10ms per media row, so a good task is
-    # O(100) rows. Splitting the read into ~8 blocks per actor keeps the
-    # pool busy in many waves (no straggler tail from media-heavy blocks);
-    # the knob scales with the pool, not the data size.
     # A *.lance docs path routes through the Lance reader when the lib is
     # present (import-guarded; BASELINE names a Lance table).
     from ..sources.lance_io import read_table_auto
 
-    ds = read_table_auto(docs_path, override_num_blocks=conc * blocks_per_actor)
+    ds = read_table_auto(docs_path, override_num_blocks=conc * BLOCKS_PER_ACTOR)
     if pre_filter is not None:
         ds = ds.map_batches(pre_filter, batch_format="pyarrow")
     ds = ds.map_batches(explode_spans, batch_format="pyarrow")

@@ -1,36 +1,33 @@
 """Stateful OCR stages (actor pools) — the map_batches callable classes.
 
-Two physical plans over the same logical stages:
+Two physical plans over the same engine steps (``OcrEngine``) and the same
+row emitter (:func:`emit_rows`):
 
-* **Fused** (:class:`OcrStage`, default on CPU clusters): decode -> det
-  forward -> DB postprocess -> sort -> crop -> cls -> rec -> decode all in
-  one actor pool. Avoids shipping decoded images / prob maps through the
-  object store; right when every stage runs on the same resource type.
-* **Split** (:class:`DetStage` + :class:`RecStage`): det actors emit raw
-  crop rows (binary + dims), rec actors consume them — the reference's
-  GPU-pool split (det pool and rec pool scale independently,
-  SURVEY.md §2.4). Use when det runs on a different resource
-  (num_gpus) than rec, at the cost of crop traffic between pools.
+* **Fused** (:class:`OcrStage`, the default): decode -> det -> DB post ->
+  sort -> crop -> cls -> rec -> CTC in one actor pool, with no decoded
+  images or crops shipped through the object store.
+* **Split** (:class:`DetStage` + :class:`RecStage`): det actors emit crop
+  rows, rec actors consume them — the reference's GPU-pool split
+  (SURVEY.md §2.4), for det and rec on different resources, at the cost
+  of crop traffic between the pools.
 
-Weights arrive as a ``ray.put`` ObjectRef broadcast once from the driver
-(zero-copy object-store read per node) — mirroring the reference's
-load-once-per-process ``OCRer.__init__`` (deploy/pytorch/run_ocr.py:51-165).
-Media payload lookup is pluggable: a broadcast dict at sandbox scale; at
-100 TB the same callsite reads a hash-partitioned payload store instead.
-
-Per-batch recognition loops over media rows on purpose: each iteration is a
-full model inference (FFT conv over an image), not a row-wise scalar op —
-this is the batched-model-call pattern, not a hot Python loop.
+Weights arrive as a ``ray.put`` ObjectRef loaded once per actor, like the
+reference's load-once-per-process ``OCRer.__init__``
+(deploy/pytorch/run_ocr.py:51-165). Media payloads are looked up inside the
+actors: by default from a sharded parquet store each actor reads lazily
+(:class:`ShardedMediaStore`); a small single-file sidecar is a broadcast
+dict; ``media_mode="join"`` delivers them inline as a ``data`` column.
+Only media rows are iterated in Python, each a full model inference.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from ..functions.ctc import ctc_greedy_decode
 from ..functions.ocr import OcrConfig, OcrEngine
-from ..functions.png import decode_gray
+from ..functions.png import decode_gray, encode_gray
 from ..state.weights import build_weights
 
 OCR_OUT_SCHEMA = pa.schema(
@@ -48,9 +45,16 @@ OCR_OUT_SCHEMA = pa.schema(
     ]
 )
 
-# a dropped media span (undecodable / missing payload) emits ONE tombstone
-# row with this region_idx so the doc's span lineage stays complete for the
-# reassembly guard; reassembly filters tombstones after the check
+# DetStage -> RecStage rows: OCR_OUT_SCHEMA without prob, plus the crop
+DET_OUT_SCHEMA = pa.schema(
+    [f for f in OCR_OUT_SCHEMA if f.name not in ("prob", "span_idx", "n_spans")]
+    + [("crop", pa.binary()), ("crop_h", pa.int32()), ("crop_w", pa.int32())]
+    + [OCR_OUT_SCHEMA.field("span_idx"), OCR_OUT_SCHEMA.field("n_spans")]
+)
+
+# a media span with no regions (missing payload, undecodable, no text) emits
+# ONE tombstone row with this region_idx so the doc's span lineage stays
+# complete for the reassembly guard; reassembly filters tombstones after it
 TOMBSTONE_REGION = -1
 
 
@@ -60,6 +64,11 @@ def _get(maybe_ref):
     if isinstance(maybe_ref, ray.ObjectRef):
         return ray.get(maybe_ref)
     return maybe_ref
+
+
+def _make_engine(weights_ref, config: OcrConfig | None) -> OcrEngine:
+    w = _get(weights_ref) if weights_ref is not None else build_weights()
+    return OcrEngine(w, config)
 
 
 class ShardedMediaStore:
@@ -124,50 +133,94 @@ def make_media_lookup(media_ref):
     return _get(media_ref).get
 
 
-class _Collector:
-    """Accumulates output rows and renders one Arrow table per batch."""
+def media_mask(batch: pa.Table) -> np.ndarray:
+    """Which rows of the batch are media spans (bool per row)."""
+    return pc.equal(batch["kind"], "media").to_numpy(zero_copy_only=False)
 
-    def __init__(self):
-        self.doc_id: list[str] = []
-        self.offset: list[int] = []
-        self.region_idx: list[int] = []
-        self.kind: list[str] = []
-        self.text: list[str] = []
-        self.media_ref: list[str] = []
-        self.prob: list[float | None] = []
-        self.box: list[list[int] | None] = []
-        self.span_idx: list[int] = []
-        self.n_spans: list[int] = []
 
-    def add(self, doc_id, offset, region_idx, kind, text, media_ref, prob, box,
-            span_idx=0, n_spans=0):
-        self.doc_id.append(doc_id)
-        self.offset.append(offset)
-        self.region_idx.append(region_idx)
-        self.kind.append(kind)
-        self.text.append(text)
-        self.media_ref.append(media_ref)
-        self.prob.append(prob)
-        self.box.append(box)
-        self.span_idx.append(span_idx)
-        self.n_spans.append(n_spans)
+def _media_values(batch: pa.Table, is_media: np.ndarray, *names: str) -> list[list | None]:
+    """The named columns' values on the batch's media rows only, in row
+    order (None for a column the batch lacks)."""
+    have = [n for n in names if n in batch.schema.names]
+    pos = np.flatnonzero(is_media)
+    media = batch.select(have)
+    media = media.take(pos) if len(pos) else media.slice(0, 0)
+    return [media[n].to_pylist() if n in have else None for n in names]
 
-    def table(self) -> pa.Table:
-        return pa.table(
-            {
-                "doc_id": pa.array(self.doc_id, pa.string()),
-                "offset": pa.array(self.offset, pa.int32()),
-                "region_idx": pa.array(self.region_idx, pa.int32()),
-                "kind": pa.array(self.kind, pa.string()),
-                "text": pa.array(self.text, pa.string()),
-                "media_ref": pa.array(self.media_ref, pa.string()),
-                "prob": pa.array(self.prob, pa.float32()),
-                "box": pa.array(self.box, pa.list_(pa.int16())),
-                "span_idx": pa.array(self.span_idx, pa.int32()),
-                "n_spans": pa.array(self.n_spans, pa.int32()),
-            },
-            schema=OCR_OUT_SCHEMA,
-        )
+
+def _media_images(batch: pa.Table, is_media: np.ndarray, lookup):
+    """Decoded grayscale image, or None, for each media row of the batch.
+
+    Payloads come from the inline ``data`` column when the batch has one
+    (``media_mode="join"``), else from ``lookup(media_ref)``. A missing
+    payload or undecodable bytes give None (the DecodeImage drop contract).
+    """
+    refs, inline = _media_values(batch, is_media, "media_ref", "data")
+    for k, ref in enumerate(refs):
+        data = inline[k] if inline is not None else lookup(ref)
+        yield decode_gray(data) if data is not None else None
+
+
+# input columns copied to every output row of the input row
+_CARRIED = ("doc_id", "offset", "kind", "span_idx", "n_spans")
+
+
+def emit_rows(
+    batch: pa.Table, is_media: np.ndarray, regions: list[list[dict]], schema: pa.Schema
+) -> pa.Table:
+    """Build a stage's output table (``schema``) from its input batch.
+
+    ``is_media`` is :func:`media_mask` of the batch; ``regions[k]`` lists
+    the region rows of its k-th media row as dicts of the columns not taken
+    from the input (``region_idx``, ``text``, ...; missing ones are null).
+    In input order, a non-media row passes through (region_idx 0, media_ref
+    ""), a media row becomes its regions, and a media row without any (no
+    payload, undecodable, no text) becomes ONE ``TOMBSTONE_REGION`` row,
+    which keeps the doc's span lineage complete for the reassembly guard.
+    Input columns are moved with Arrow; Python only touches region rows.
+    """
+    n = batch.num_rows
+    if "span_idx" not in batch.schema.names:
+        zeros = pa.array(np.zeros(n, dtype=np.int32))
+        batch = batch.append_column("span_idx", zeros).append_column("n_spans", zeros)
+    n_regions = np.array([len(rs) for rs in regions], dtype=np.int64)
+    counts = np.ones(n, dtype=np.int64)
+    counts[is_media] = np.maximum(n_regions, 1)
+    src = np.repeat(np.arange(n), counts)
+    n_out = len(src)
+    taken = batch.select(_CARRIED + ("media_ref", "text"))
+    if n_out != n:
+        taken = taken.take(src)
+    out_media = is_media[src]
+    # output position of every region row, in region order
+    first = np.repeat((np.cumsum(counts) - counts)[is_media], n_regions)
+    within = np.arange(len(first)) - np.repeat(np.cumsum(n_regions) - n_regions, n_regions)
+    region_pos = (first + within).tolist()
+    flat = [r for rs in regions for r in rs]
+    cols = {name: taken[name] for name in _CARRIED}
+    ridx = np.where(out_media, TOMBSTONE_REGION, 0).astype(np.int32)
+    ridx[region_pos] = [r["region_idx"] for r in flat]
+    cols["region_idx"] = pa.array(ridx)
+    # Arrow kernels release the GIL, which costs a thread switch in a busy
+    # actor process: a batch without media rows makes none here
+    cols["media_ref"] = pa.array([""] * n_out, pa.string())
+    cols["text"] = taken["text"]
+    if out_media.any():  # media rows read "" unless a region says otherwise
+        cols["media_ref"] = pc.if_else(pa.array(out_media), taken["media_ref"], "")
+        vals = [None] * n_out
+        for pos in np.flatnonzero(out_media).tolist():
+            vals[pos] = ""
+        for pos, r in zip(region_pos, flat):
+            vals[pos] = r["text"]
+        cols["text"] = pc.coalesce(pa.array(vals, pa.string()), cols["text"])
+    for name in schema.names:
+        if name not in cols:
+            typ = schema.field(name).type
+            vals = [None] * n_out
+            for pos, r in zip(region_pos, flat):
+                vals[pos] = r.get(name)
+            cols[name] = pa.array(vals, typ) if flat else pa.nulls(n_out, typ)
+    return pa.Table.from_arrays([cols[name] for name in schema.names], schema=schema)
 
 
 class OcrStage:
@@ -177,8 +230,7 @@ class OcrStage:
     def __init__(self, weights_ref=None, media_ref=None, config: OcrConfig | None = None):
         from ..state.bench_counter import counter_enabled, try_get
 
-        w = _get(weights_ref) if weights_ref is not None else build_weights()
-        self.engine = OcrEngine(w, config)
+        self.engine = _make_engine(weights_ref, config)
         self.lookup = make_media_lookup(media_ref)
         # bench-only per-image CPU accounting (None in production runs)
         self._counter = try_get() if counter_enabled() else None
@@ -188,215 +240,74 @@ class OcrStage:
 
         cpu0 = time.process_time() if self._counter is not None else 0.0
         n_images = 0
-        out = _Collector()
-        kinds = batch["kind"].to_pylist()
-        doc_ids = batch["doc_id"].to_pylist()
-        texts = batch["text"].to_pylist()
-        refs = batch["media_ref"].to_pylist()
-        offsets = batch["offset"].to_pylist()
-        has_lineage = "span_idx" in batch.column_names
-        sidx = batch["span_idx"].to_pylist() if has_lineage else [0] * len(kinds)
-        nsp = batch["n_spans"].to_pylist() if has_lineage else [0] * len(kinds)
-        # media_mode="join" delivers payloads inline as a "data" column
-        inline = (
-            batch["data"].to_pylist() if "data" in batch.column_names else None
-        )
-        for i, kind in enumerate(kinds):
-            if kind != "media":
-                out.add(doc_ids[i], offsets[i], 0, kind, texts[i], "", None, None,
-                        sidx[i], nsp[i])
-                continue
-            data = inline[i] if inline is not None else self.lookup(refs[i])
-            gray = decode_gray(data) if data is not None else None
-            if gray is None:
-                # DecodeImage contract: undecodable -> drop; a tombstone row
-                # keeps the doc's span lineage complete for the reassembly
-                # guard (filtered out after the check)
-                out.add(doc_ids[i], offsets[i], TOMBSTONE_REGION, "media", "",
-                        refs[i], None, None, sidx[i], nsp[i])
-                continue
-            n_images += 1
-            regions = self.engine.ocr_image(gray)
-            if not regions:
-                # a decodable image where the detector finds NO text emits
-                # zero real rows — without a tombstone the doc's span-index
-                # set is incomplete and the reassembly lineage guard would
-                # false-positive on legitimate text-free images (ADVICE r2)
-                out.add(doc_ids[i], offsets[i], TOMBSTONE_REGION, "media", "",
-                        refs[i], None, None, sidx[i], nsp[i])
-                continue
-            for ridx, (box, text, prob) in enumerate(regions):
-                out.add(
-                    doc_ids[i],
-                    offsets[i],
-                    ridx,
-                    "media",
-                    text,
-                    refs[i],
-                    prob,
-                    box.reshape(-1).tolist(),
-                    sidx[i],
-                    nsp[i],
-                )
+        is_media = media_mask(batch)
+        regions = []
+        for gray in _media_images(batch, is_media, self.lookup):
+            found = []
+            if gray is not None:
+                n_images += 1
+                found = self.engine.ocr_image(gray)
+            regions.append(
+                [
+                    {"region_idx": r, "text": text, "prob": prob,
+                     "box": box.reshape(-1).tolist()}
+                    for r, (box, text, prob) in enumerate(found)
+                ]
+            )
         if self._counter is not None and n_images:
-            # awaited (r5, ADVICE r4): a fire-and-forget add could land
-            # after the bench's read_and_reset (or be lost at actor-pool
-            # teardown), mis-attributing up to one batch per actor.  The
-            # ray.get makes every add visible before this batch completes
-            # — so before the dataset (and the timed run) finishes.  Cost:
-            # one ~0.2 ms actor RPC per ~100 ms batch, bench-mode only.
+            # awaited: a fire-and-forget add could land after the bench's
+            # read_and_reset (or be lost at actor-pool teardown). Cost: one
+            # ~0.2 ms actor RPC per ~100 ms batch, bench-mode only.
             import ray
 
             ray.get(self._counter.add.remote(time.process_time() - cpu0, n_images))
-        return out.table()
+        return emit_rows(batch, is_media, regions, OCR_OUT_SCHEMA)
 
 
 class DetStage:
-    """Split plan, stage 1: media rows -> crop rows; text rows pass through
-    with crop fields null. Output adds (crop: binary PNG, crop_h, crop_w).
-
-    Crops are PNG-compressed before leaving the actor (round 3, VERDICT r2
-    #5: raw uint8 shipped ~26x more bytes through the object store and the
-    det->rec exchange than needed; encode+decode costs ~0.1 ms/crop vs
-    ~10 ms of model compute)."""
+    """Split plan, stage 1: media rows -> one crop row per detected region
+    (crop: PNG bytes, crop_h, crop_w); text rows pass through with null crop
+    fields. Crops are PNG-compressed before leaving the actor: raw uint8
+    ships ~26x more bytes through the det->rec exchange, and encode+decode
+    costs ~0.1 ms per crop."""
 
     def __init__(self, weights_ref=None, media_ref=None, config: OcrConfig | None = None):
-        w = _get(weights_ref) if weights_ref is not None else build_weights()
-        cfg = config or OcrConfig()
-        # cls runs in RecStage; detection itself never rotates
-        self.engine = OcrEngine(w, cfg)
+        self.engine = _make_engine(weights_ref, config)
         self.lookup = make_media_lookup(media_ref)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        rows = {
-            "doc_id": [],
-            "offset": [],
-            "region_idx": [],
-            "kind": [],
-            "text": [],
-            "media_ref": [],
-            "box": [],
-            "crop": [],
-            "crop_h": [],
-            "crop_w": [],
-            "span_idx": [],
-            "n_spans": [],
-        }
-
-        def add(doc, off, ridx, kind, text, ref, box, crop, si=0, ns=0):
-            rows["span_idx"].append(si)
-            rows["n_spans"].append(ns)
-            rows["doc_id"].append(doc)
-            rows["offset"].append(off)
-            rows["region_idx"].append(ridx)
-            rows["kind"].append(kind)
-            rows["text"].append(text)
-            rows["media_ref"].append(ref)
-            rows["box"].append(box)
-            if crop is None:
-                rows["crop"].append(None)
-                rows["crop_h"].append(0)
-                rows["crop_w"].append(0)
-            else:
-                from ..functions.png import encode_gray
-
-                rows["crop"].append(encode_gray(crop))
-                rows["crop_h"].append(crop.shape[0])
-                rows["crop_w"].append(crop.shape[1])
-
-        kinds = batch["kind"].to_pylist()
-        docs = batch["doc_id"].to_pylist()
-        offs = batch["offset"].to_pylist()
-        texts = batch["text"].to_pylist()
-        refs = batch["media_ref"].to_pylist()
-        has_lineage = "span_idx" in batch.column_names
-        sidx = batch["span_idx"].to_pylist() if has_lineage else [0] * len(kinds)
-        nsp = batch["n_spans"].to_pylist() if has_lineage else [0] * len(kinds)
-        for i, kind in enumerate(kinds):
-            doc = docs[i]
-            off = offs[i]
-            if kind != "media":
-                add(doc, off, 0, kind, texts[i], "", None, None, sidx[i], nsp[i])
-                continue
-            ref = refs[i]
-            data = self.lookup(ref)
-            gray = decode_gray(data) if data is not None else None
-            if gray is None:
-                add(doc, off, TOMBSTONE_REGION, "media", "", ref, None, None,
-                    sidx[i], nsp[i])
-                continue
-            from ..functions.geometry import get_part_img, maybe_rot90
-
-            boxes = self.engine.detect(gray)
-            if not len(boxes):
-                # zero-detection tombstone: keeps span lineage complete for
-                # the reassembly guard on text-free images (ADVICE r2)
-                add(doc, off, TOMBSTONE_REGION, "media", "", ref, None, None,
-                    sidx[i], nsp[i])
-                continue
-            for ridx, box in enumerate(boxes):
-                crop = maybe_rot90(get_part_img(gray, box.astype(np.float64)))
-                add(doc, off, ridx, "media", "", ref, box.reshape(-1).tolist(), crop,
-                    sidx[i], nsp[i])
-
-        return pa.table(
-            {
-                "doc_id": pa.array(rows["doc_id"], pa.string()),
-                "offset": pa.array(rows["offset"], pa.int32()),
-                "region_idx": pa.array(rows["region_idx"], pa.int32()),
-                "kind": pa.array(rows["kind"], pa.string()),
-                "text": pa.array(rows["text"], pa.string()),
-                "media_ref": pa.array(rows["media_ref"], pa.string()),
-                "box": pa.array(rows["box"], pa.list_(pa.int16())),
-                "crop": pa.array(rows["crop"], pa.binary()),
-                "crop_h": pa.array(rows["crop_h"], pa.int32()),
-                "crop_w": pa.array(rows["crop_w"], pa.int32()),
-                "span_idx": pa.array(rows["span_idx"], pa.int32()),
-                "n_spans": pa.array(rows["n_spans"], pa.int32()),
-            }
-        )
+        is_media = media_mask(batch)
+        regions = []
+        for gray in _media_images(batch, is_media, self.lookup):
+            rows = []
+            for r, box in enumerate(self.engine.detect(gray) if gray is not None else ()):
+                crop = self.engine.crop_region(gray, box)
+                rows.append(
+                    {"region_idx": r, "text": "", "box": box.reshape(-1).tolist(),
+                     "crop": encode_gray(crop), "crop_h": crop.shape[0],
+                     "crop_w": crop.shape[1]}
+                )
+            regions.append(rows)
+        return emit_rows(batch, is_media, regions, DET_OUT_SCHEMA)
 
 
 class RecStage:
     """Split plan, stage 2: crop rows -> recognized rows (OCR_OUT_SCHEMA)."""
 
     def __init__(self, weights_ref=None, config: OcrConfig | None = None):
-        w = _get(weights_ref) if weights_ref is not None else build_weights()
-        self.engine = OcrEngine(w, config)
+        self.engine = _make_engine(weights_ref, config)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        out = _Collector()
-        kinds = batch["kind"].to_pylist()
-        docs = batch["doc_id"].to_pylist()
-        offs = batch["offset"].to_pylist()
-        texts = batch["text"].to_pylist()
-        refs = batch["media_ref"].to_pylist()
-        ridxs = batch["region_idx"].to_pylist()
-        boxes = batch["box"].to_pylist()
-        crops = batch["crop"].to_pylist()
-        hs = batch["crop_h"].to_pylist()
-        ws = batch["crop_w"].to_pylist()
-        has_lineage = "span_idx" in batch.column_names
-        sidx = batch["span_idx"].to_pylist() if has_lineage else [0] * len(kinds)
-        nsp = batch["n_spans"].to_pylist() if has_lineage else [0] * len(kinds)
-        for i, kind in enumerate(kinds):
-            if kind != "media":
-                out.add(docs[i], offs[i], 0, kind, texts[i], "", None, None,
-                        sidx[i], nsp[i])
+        is_media = media_mask(batch)
+        regions = []
+        for r, box, data, h, w in zip(
+            *_media_values(batch, is_media, "region_idx", "box", "crop", "crop_h", "crop_w")
+        ):
+            if r == TOMBSTONE_REGION:
+                regions.append([])
                 continue
-            if ridxs[i] == TOMBSTONE_REGION:
-                out.add(docs[i], offs[i], TOMBSTONE_REGION, "media", "", refs[i],
-                        None, None, sidx[i], nsp[i])
-                continue
-            crop = decode_gray(crops[i])
-            assert crop is not None and crop.shape == (hs[i], ws[i])
-            if self.engine.cfg.use_cls:
-                label, _p = self.engine.cls(crop)
-                if label == "180":
-                    crop = np.ascontiguousarray(crop[::-1, ::-1])
-            text, prob = ctc_greedy_decode(self.engine.rec(crop))
-            out.add(
-                docs[i], offs[i], ridxs[i], "media", text, refs[i], prob, boxes[i],
-                sidx[i], nsp[i]
-            )
-        return out.table()
+            crop = decode_gray(data)
+            assert crop is not None and crop.shape == (h, w)
+            text, prob = self.engine.recognize_crop(crop)
+            regions.append([{"region_idx": r, "text": text, "prob": prob, "box": box}])
+        return emit_rows(batch, is_media, regions, OCR_OUT_SCHEMA)
