@@ -76,14 +76,13 @@ def _corpus_for(sf_dir: str) -> str:
     return generate_corpus_ray(corpus_path(n_docs, _SEED), n_docs=n_docs, seed=_SEED)
 
 
-def _extract(sf_dir: str, **kw) -> Any:
+def _extract(sf_dir: str) -> Any:
     from pytorchocr_ray.pipelines.extract import extract_dataset
 
     corpus = _corpus_for(sf_dir)
     return extract_dataset(
         os.path.join(corpus, "documents"),
         os.path.join(corpus, "media"),
-        **kw,
     )
 
 
@@ -320,7 +319,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # flagship extraction — hash-verified against the generator's
         # ground-truth span table (see oracle_sql)
         "extract_interleaved": _extract,
-        "extract_split_plan": lambda sf: _extract(sf, fused=False),
         # text analysis
         "normalize_docs": textstats.normalize_docs,
         "doc_stats": textstats.doc_stats,
@@ -577,7 +575,6 @@ def oracle_sql(sf_dir: str = "/root/testdata/sf0.01") -> dict[str, str]:
 
     return {
         "extract_interleaved": extract_sql,
-        "extract_split_plan": extract_sql,
         "evaluate_engine": (
             "SELECT \"precision\", recall, hmean, acc, norm_edit_sim "
             f"FROM read_parquet('{metrics_parquet}')"

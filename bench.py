@@ -11,13 +11,13 @@ prints ONE JSON line:
    "docs_per_sec": ..., "ocr_cpu_ms_per_image": ...}
 
 The headline extract is the MEDIAN of three timed runs (r4; min-of-2
-before), and every run also reports per-image OCR process-CPU ms from a
-named counter actor — the host-noise-insensitive signal: stable CPU ms
-with inflated wall time means host noise, moved CPU ms means a real
-regression (VERDICT r3 #1).  Each run additionally reports the
-hypervisor CPU-steal share over its window (``steal_pct``, from
-/proc/stat): this sandbox runs in a VM whose host takes up to ~17% of
-CPU in bursts (measured 2026-08-18), which inflates wall time 20-40%
+before), and every run also reports OCR CPU ms per media span: the OCR
+operator's CPU time from ``ds.stats()`` over the corpus's media spans —
+the host-noise-insensitive signal: stable CPU ms with inflated wall time
+means host noise, moved CPU ms means a real regression (VERDICT r3 #1).
+Each run additionally reports the hypervisor CPU-steal share over its
+window (``steal_pct``, from /proc/stat): this sandbox runs in a VM whose
+host takes up to ~17% of CPU in bursts (measured 2026-08-18), which inflates wall time 20-40%
 with byte-identical code — steal is THE resolved explanation for the
 r3 driver-vs-builder 1.31x headline discrepancy.
 
@@ -27,9 +27,9 @@ on the same input and reports throughput at both plus scaling efficiency
 independent 8/32 pairs (round 3: four same-code round-2 runs spread
 0.66-0.925 from host noise — a single pair is not a reproducible
 measurement).  Pair 1 runs the full harness (its per-query tables land in
-BASELINE.md); pairs 2-3 set BENCH_EXTRACT_ONLY=1, which skips the
-alternate plans and ops queries so a repeat pair only pays the headline
-extract.  It also refreshes the measured-results section in BASELINE.md.
+BASELINE.md); pairs 2-3 set BENCH_EXTRACT_ONLY=1, which skips the ops
+queries so a repeat pair only pays the headline extract.  It also
+refreshes the measured-results section in BASELINE.md.
 
 r5 (VERDICT r4 #5): pairs are STEAL-GATED — a pair whose in-band
 /proc/stat steal exceeds BENCH_STEAL_GATE (default 5%) is redrawn up to
@@ -47,6 +47,8 @@ import shutil
 import subprocess
 import sys
 import time
+
+import pyarrow.parquet as pq
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
@@ -71,17 +73,11 @@ def corpus_docs_for(sf_dir: str) -> int:
     compute dominates the fixed per-run costs (actor spawn, media shard
     reads, scheduling ramp) at 32 cpus — the regime the scaling criterion
     measures."""
-    import pyarrow.parquet as pq
-
     n = pq.ParquetFile(os.path.join(sf_dir, "documents.parquet")).metadata.num_rows
     return n * DOCS_FACTOR
 
 
 def run_bench() -> dict:
-    # per-image OCR CPU accounting: must be in the env BEFORE ray.init so
-    # worker processes inherit it (see state/bench_counter.py)
-    os.environ["BENCH_OCR_CPU"] = "1"
-
     import ray
 
     ray.init(
@@ -94,17 +90,18 @@ def run_bench() -> dict:
 
     ray.data.DataContext.get_current().enable_progress_bars = False
 
+    from perfbench.inputs import media_refs_per_doc
+    from perfbench.workloads import operator_stats
     from pytorchocr_ray.ops import dedup, relational, simsearch, textstats
     from pytorchocr_ray.pipelines.extract import extract_dataset
-    from pytorchocr_ray.state.bench_counter import get_or_create
     from pytorchocr_ray.synth.generate import corpus_path, generate_corpus_ray
 
     n_docs = corpus_docs_for(SF_DIR)
     corpus = generate_corpus_ray(corpus_path(n_docs, 42), n_docs=n_docs, seed=42)
+    n_media = int(media_refs_per_doc(
+        pq.read_table(os.path.join(corpus, "documents"), columns=["spans"])).sum())
 
     # warm the page cache (untimed): one pass over the inputs
-    import pyarrow.parquet as pq
-
     for name in ("lineitem", "documents", "embeddings", "events"):
         pq.read_table(os.path.join(SF_DIR, f"{name}.parquet"))
 
@@ -112,8 +109,9 @@ def run_bench() -> dict:
 
     def timed(name, fn):
         t0 = time.perf_counter()
-        fn()
+        out = fn()
         timings[name] = round(time.perf_counter() - t0, 3)
+        return out
 
     out_dir = "/tmp/bench_extract_out"
     shutil.rmtree(out_dir, ignore_errors=True)
@@ -140,19 +138,17 @@ def run_bench() -> dict:
     os.sync()
     time.sleep(2)
 
-    counter = get_or_create()
-    ray.get(counter.read_and_reset.remote())  # drop warmup contributions
-
     def run_extract():
         ds = extract_dataset(
             os.path.join(corpus, "documents"),
             os.path.join(corpus, "media"),
         )
         ds.write_parquet(out_dir)
+        return ds
 
     # median-of-3 (VERDICT r3 #1: min-of-2 left the driver reading exposed
-    # to host noise); per-run per-image OCR CPU ms recorded alongside so a
-    # noisy-host run is self-diagnosing (stable CPU ms + inflated wall
+    # to host noise); per-run OCR CPU ms per media span recorded alongside
+    # so a noisy-host run is self-diagnosing (stable CPU ms + inflated wall
     # time = host noise, moved CPU ms = real regression)
     cpu_ms_runs: list[float] = []
     steal_runs: list[float] = []
@@ -160,12 +156,12 @@ def run_bench() -> dict:
     for i in (1, 2, 3):
         shutil.rmtree(out_dir, ignore_errors=True)
         st0, tot0 = _proc_stat()
-        timed(f"extract_run{i}", run_extract)
+        ds = timed(f"extract_run{i}", run_extract)
         st1, tot1 = _proc_stat()
         steal_runs.append(round(100.0 * (st1 - st0) / max(tot1 - tot0, 1), 2))
         runs.append(timings[f"extract_run{i}"])
-        cpu_s, n_img = ray.get(counter.read_and_reset.remote())
-        cpu_ms_runs.append(round(1000.0 * cpu_s / max(n_img, 1), 3))
+        ocr_cpu_s = sum(o["cpu_s"] for n, o in operator_stats(ds).items() if "OcrStage" in n)
+        cpu_ms_runs.append(round(1000.0 * ocr_cpu_s / max(n_media, 1), 3))
     timings["extract"] = sorted(runs)[1]
     ocr_cpu_ms = sorted(cpu_ms_runs)[1]
     steal_pct = sorted(steal_runs)[1]
@@ -188,33 +184,6 @@ def run_bench() -> dict:
             "steal_pct_runs": steal_runs,
         }
 
-    # alternate physical plans (quarter corpus: these exist for topology
-    # coverage — split det/rec pools and the shuffle-join media plan).
-    # Same min-of-2 methodology as the headline: each plan spins up fresh
-    # actor pools, and the ramp share of a quarter-corpus run is exactly
-    # the builder-vs-driver split-plan spread VERDICT r2 #5 flagged.
-    alt_n = max(200, n_docs // 4)
-    alt_corpus = generate_corpus_ray(
-        corpus_path(alt_n, 42), n_docs=alt_n, seed=42
-    )
-
-    def run_alt(name: str, **kw) -> None:
-        def once():
-            extract_dataset(
-                os.path.join(alt_corpus, "documents"),
-                os.path.join(alt_corpus, "media"),
-                **kw,
-            ).write_parquet(out_dir + "_" + name)
-            shutil.rmtree(out_dir + "_" + name, ignore_errors=True)
-
-        timed(f"{name}_run1", once)
-        timed(f"{name}_run2", once)
-        timings[f"extract_{name}"] = min(
-            timings.pop(f"{name}_run1"), timings.pop(f"{name}_run2")
-        )
-
-    run_alt("split", fused=False)
-    run_alt("join", media_mode="join")
     timed("q1_pricing", lambda: relational.q1_pricing(SF_DIR).to_pandas())
     timed("dedup_exact", lambda: dedup_exact_count(dedup, SF_DIR))
     timed("minhash_pairs", lambda: dedup.minhash_pairs(SF_DIR).count())
@@ -416,9 +385,6 @@ def run_bench() -> dict:
         "ocr_cpu_ms_runs": cpu_ms_runs,
         "steal_pct": steal_pct,
         "steal_pct_runs": steal_runs,
-        "alt_plan_docs": alt_n,
-        "split_docs_per_sec": round(alt_n / timings["extract_split"], 2),
-        "join_docs_per_sec": round(alt_n / timings["extract_join"], 2),
     }
     ray.shutdown()
     return result

@@ -2,7 +2,7 @@
 
     ray job submit -- python -m pytorchocr_ray \
         --docs /data/documents --media /data/media --out /data/extracted \
-        --buckets 64 [--no-resume] [--pse] [--split-plan]
+        --buckets 64 [--no-resume] [--pse] [--skew-factor F] [--num-cpus N]
 
 Owns its Ray session (guarded — never re-inits inside a driver-managed
 session). Runs the partitioned resumable extraction and prints the summary

@@ -66,8 +66,7 @@ def table_rows(sf_dir: str, table: str):
 def pool_size(cap: int = 8) -> int:
     """Actor-pool size that always leaves CPUs for the read/shuffle stages —
     a pool reserving every CPU starves upstream tasks and stalls the
-    streaming executor."""
-    import ray
+    streaming executor: the extract pipeline's rule, capped at ``cap``."""
+    from ..pipelines.extract import default_concurrency
 
-    cpus = int(ray.cluster_resources().get("CPU", 4))
-    return max(1, min(cap, cpus - 2))
+    return min(cap, default_concurrency())

@@ -1018,6 +1018,11 @@ def events_rollup(sf_dir: str):
         df["hour"] = (
             df["ts"].dt.floor("h").astype("datetime64[s]").astype("int64")
         ).astype(np.int64)
+        if ((df["event_type"] == "") | (df["hour"] < 0)).any():
+            raise ValueError(
+                "events_rollup: an event_type of '' or an hour before 1970 "
+                "collides with the rollup's '' / -1 subtotal keys"
+            )
         df["cents"] = np.floor(
             df["value"].to_numpy(np.float64) * 100.0 + 0.5
         ).astype(np.int64)

@@ -168,8 +168,9 @@ def funnel_steps(sf_dir: str):
 
     def key_rows(batch: pa.Table) -> pa.Table:
         u = np.asarray(batch["user_id"].to_pylist(), dtype=np.int64)
-        # Arrow timestamp[us] -> int64 microseconds, exact
-        ts = batch["ts"].cast(pa.int64())
+        # any Arrow timestamp unit -> int64 microseconds (the twin's
+        # epoch_us); a finer unit with sub-microsecond digits raises
+        ts = batch["ts"].cast(pa.timestamp("us")).cast(pa.int64())
         return pa.table(
             {
                 "salt": pa.array((u % salts).astype(np.int32)),

@@ -11,8 +11,7 @@ Zero shuffles by default: documents stay block-contiguous through the map
 stages, so reassembly runs block-local (``reassemble="local"``). Media
 payloads are looked up inside the actors, from a sharded parquet store each
 actor reads lazily (a single-file sidecar is broadcast via ``ray.put``) —
-no shuffle join for the sidecar. The split det/rec plan (``fused=False``)
-shows the independent GPU-pool topology at the cost of crop traffic.
+no shuffle join for the sidecar.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 import pyarrow.parquet as pq
 
 from ..functions.ocr import OcrConfig
-from ..stages.ocr_stage import DetStage, OcrStage, RecStage
+from ..stages.ocr_stage import OcrStage
 from ..stages.reassemble import reassemble_block, reassemble_group
 from ..stages.spans import explode_spans, normalize_text_spans
 
@@ -59,6 +58,7 @@ def load_media_store(media_path: str):
 
 
 def default_concurrency() -> int:
+    """OCR pool size, also the rule behind ``ops.pool_size``."""
     import ray
 
     cpus = int(ray.cluster_resources().get("CPU", 4))
@@ -72,12 +72,10 @@ def extract_dataset(
     media_ref=None,
     weights_ref=None,
     config: OcrConfig | None = None,
-    fused: bool = True,
     concurrency: int | None = None,
     batch_size: int = 16,
     pre_filter=None,
     reassemble: str = "local",
-    media_mode: str = "store",
 ):
     """Build the lazy extraction Dataset (flat EXTRACTED_FLAT rows).
 
@@ -85,21 +83,10 @@ def extract_dataset(
     documents table right after the read (the partitioned runner injects its
     bucket filter here; at scale this is replaced by reading only the
     partition's files).
-
-    ``media_mode``:
-      * "store" (default) — payloads fetched actor-side (broadcast dict or
-        sharded store; zero shuffle of bytes),
-      * "join" — a REAL hash-partitioned ``Dataset.join`` of the exploded
-        span rows with the media table on ``media_ref`` (payload bytes move
-        through the shuffle). The right choice when the sidecar can be
-        neither broadcast nor key-addressed; destroys block/doc locality,
-        so reassembly switches to the groupby plan automatically.
     """
-    import ray.data as rd
-
     from ..state.weights import put_weights
 
-    if media_ref is None and media_path is not None and media_mode == "store":
+    if media_ref is None and media_path is not None:
         media_ref = load_media_store(media_path)
     if weights_ref is None:
         weights_ref = put_weights()
@@ -114,63 +101,18 @@ def extract_dataset(
         ds = ds.map_batches(pre_filter, batch_format="pyarrow")
     ds = ds.map_batches(explode_spans, batch_format="pyarrow")
     ds = ds.map_batches(normalize_text_spans, batch_format="pyarrow")
-    if media_mode == "join":
-        if media_path is None:
-            raise ValueError("media_mode='join' requires media_path")
-        media_ds = rd.read_parquet(media_path, columns=["media_ref", "data"])
-        # split the CPU budget between the join's aggregator actors and the
-        # OCR pool: both are fixed-size actor groups, and requesting
-        # pool+aggregators > cluster CPUs deadlocks the streaming executor
-        # (observed at 32 cpus: 30 OCR actors + 30 aggregators wedged)
-        nparts = max(2, conc // 4)
-        conc = max(1, conc - nparts - 2)
-        ds = ds.join(
-            media_ds,
-            "left_outer",  # text rows (media_ref="") keep data=null
-            num_partitions=nparts,
-            on=("media_ref",),
-        )
-        media_ref = {}  # actors read the joined "data" column
-        reassemble = "shuffle"  # the join destroyed doc-block locality
-    if fused:
-        ds = ds.map_batches(
-            OcrStage,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=conc,
-            num_cpus=1,
-            fn_constructor_kwargs={
-                "weights_ref": weights_ref,
-                "media_ref": media_ref,
-                "config": config,
-            },
-        )
-    else:
-        det_conc = max(1, conc // 2)
-        rec_conc = max(1, conc - det_conc)
-        ds = ds.map_batches(
-            DetStage,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=det_conc,
-            num_cpus=1,
-            fn_constructor_kwargs={
-                "weights_ref": weights_ref,
-                "media_ref": media_ref,
-                "config": config,
-            },
-        )
-        ds = ds.map_batches(
-            RecStage,
-            batch_format="pyarrow",
-            batch_size=max(batch_size * 4, 64),
-            concurrency=rec_conc,
-            num_cpus=1,
-            fn_constructor_kwargs={
-                "weights_ref": weights_ref,
-                "config": config,
-            },
-        )
+    ds = ds.map_batches(
+        OcrStage,
+        batch_format="pyarrow",
+        batch_size=batch_size,
+        concurrency=conc,
+        num_cpus=1,
+        fn_constructor_kwargs={
+            "weights_ref": weights_ref,
+            "media_ref": media_ref,
+            "config": config,
+        },
+    )
     if reassemble == "none":
         # raw post-OCR rows (full OCR_OUT_SCHEMA incl box/prob), no
         # projection, no reassembly — the regions-table building block

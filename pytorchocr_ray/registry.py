@@ -14,6 +14,10 @@ Here the extension surface is an explicit dict of stage factories — no
     ]
     ds = build_pipeline(rd.read_parquet(path), spec)
 
+Registered stages: ``explode_spans``, ``normalize_text``, ``add_bucket``,
+``ocr`` (the fused :class:`~.stages.ocr_stage.OcrStage` actor, the one OCR
+plan), ``project``, ``reassemble_local`` and ``reassemble_shuffle``.
+
 A stage factory receives its ``params`` and returns either
 ``("batches", fn_or_class, map_batches_kwargs)`` or
 ``("dataset", fn)`` where fn maps Dataset -> Dataset (for groupby etc.).
@@ -67,28 +71,6 @@ def _ocr(**params):
     return (
         "batches",
         OcrStage,
-        {"batch_format": "pyarrow", "fn_constructor_kwargs": params},
-    )
-
-
-@register_stage("det")
-def _det(**params):
-    from .stages.ocr_stage import DetStage
-
-    return (
-        "batches",
-        DetStage,
-        {"batch_format": "pyarrow", "fn_constructor_kwargs": params},
-    )
-
-
-@register_stage("rec")
-def _rec(**params):
-    from .stages.ocr_stage import RecStage
-
-    return (
-        "batches",
-        RecStage,
         {"batch_format": "pyarrow", "fn_constructor_kwargs": params},
     )
 

@@ -10,6 +10,7 @@ the funnel test crafts partial/out-of-order/tied event streams the real
 testdata never produces.
 """
 
+import datetime as dt
 import os
 
 import duckdb
@@ -360,8 +361,6 @@ def test_funnel_steps_parity_and_edges(ray_session, tmp_path):
     partial funnels, a purchase BEFORE its click (must not count), and
     a click sharing the view's exact microsecond (strict-time 'after'
     -> must not count)."""
-    import datetime as dt
-
     from pytorchocr_ray.ops.sessions import funnel_steps, funnel_steps_sql
 
     t0 = dt.datetime(2024, 1, 1)
@@ -380,35 +379,65 @@ def test_funnel_steps_parity_and_edges(ray_session, tmp_path):
         # user 6: second click after purchase-less first -> still step 2
         (6, us(10), "view"), (6, us(20), "click"), (6, us(25), "click"),
     ]
+    # the same stream at microsecond and nanosecond resolution: the
+    # engine must read both as int64 microseconds, like the twin's epoch_us
+    for unit in ("us", "ns"):
+        sf = os.path.join(str(tmp_path), unit)
+        os.makedirs(sf)
+        pq.write_table(
+            pa.table(
+                {
+                    "event_id": pa.array(range(len(rows)), pa.int64()),
+                    "user_id": pa.array([r[0] for r in rows], pa.int64()),
+                    "ts": pa.array([r[1] for r in rows], pa.timestamp(unit)),
+                    "event_type": pa.array([r[2] for r in rows]),
+                    "value": pa.array([1.0] * len(rows)),
+                    "props": pa.array([""] * len(rows)),
+                }
+            ),
+            os.path.join(sf, "events.parquet"),
+        )
+        c = duckdb.connect()
+        c.sql(
+            "CREATE VIEW events AS SELECT * FROM "
+            f"read_parquet('{sf}/events.parquet')"
+        )
+        e = funnel_steps(sf).to_pandas().sort_values("user_id").reset_index(drop=True)
+        o = c.sql(funnel_steps_sql()).df()
+        pd.testing.assert_frame_equal(
+            e, o[e.columns].sort_values("user_id").reset_index(drop=True),
+            check_dtype=False,
+        )
+        by = e.set_index("user_id")["reached"].to_dict()
+        assert by == {1: 3, 2: 1, 3: 2, 4: 1, 5: 0, 6: 2}
+        # absent steps are -1 on both sides
+        assert e.set_index("user_id").loc[2, "t2_us"] == -1
+        epoch_us = int((t0 - dt.datetime(1970, 1, 1)).total_seconds()) * 10**6
+        assert e.set_index("user_id").loc[1, "t3_us"] == epoch_us + 30
+
+
+@pytest.mark.parametrize(
+    "event_type, ts",
+    [("", dt.datetime(2024, 1, 1)), ("view", dt.datetime(1969, 12, 31, 23))],
+)
+def test_events_rollup_rejects_sentinel_keys(ray_session, tmp_path, event_type, ts):
+    """A real event_type '' or an hour before 1970 would merge into the
+    rollup's '' / -1 subtotal rows: fail loudly instead."""
+    from pytorchocr_ray.ops.relational import events_rollup
+
     pq.write_table(
         pa.table(
             {
-                "event_id": pa.array(range(len(rows)), pa.int64()),
-                "user_id": pa.array([r[0] for r in rows], pa.int64()),
-                "ts": pa.array([r[1] for r in rows], pa.timestamp("us")),
-                "event_type": pa.array([r[2] for r in rows]),
-                "value": pa.array([1.0] * len(rows)),
-                "props": pa.array([""] * len(rows)),
+                "ts": pa.array([dt.datetime(2024, 1, 1), ts], pa.timestamp("us")),
+                "event_type": ["view", event_type],
+                "value": [1.0, 2.0],
             }
         ),
         os.path.join(str(tmp_path), "events.parquet"),
     )
-    sf = str(tmp_path)
-    c = duckdb.connect()
-    c.sql(
-        "CREATE VIEW events AS SELECT * FROM "
-        f"read_parquet('{sf}/events.parquet')"
-    )
-    e = funnel_steps(sf).to_pandas().sort_values("user_id").reset_index(drop=True)
-    o = c.sql(funnel_steps_sql()).df()
-    pd.testing.assert_frame_equal(
-        e, o[e.columns].sort_values("user_id").reset_index(drop=True),
-        check_dtype=False,
-    )
-    by = e.set_index("user_id")["reached"].to_dict()
-    assert by == {1: 3, 2: 1, 3: 2, 4: 1, 5: 0, 6: 2}
-    # absent steps are -1 on both sides
-    assert e.set_index("user_id").loc[2, "t2_us"] == -1
+    # raised inside a Ray task, so it arrives wrapped with its message intact
+    with pytest.raises(Exception, match="collides with the rollup"):
+        events_rollup(str(tmp_path)).materialize()
 
 
 def test_events_rollup_parity(ray_session):

@@ -1,8 +1,7 @@
-"""Row contract of the OCR stages, driven directly (no Ray).
+"""Row contract of the OCR stage, driven directly (no Ray).
 
-The fused plan (``OcrStage``) and the split plan (``DetStage`` ->
-``RecStage``) must emit the same rows: text rows in place, one tombstone per
-dropped media row, and each image's regions in reading order.
+``OcrStage`` emits text rows in place, one tombstone per dropped media row,
+and each image's regions in reading order.
 """
 
 import numpy as np
@@ -11,18 +10,8 @@ import pytest
 
 from pytorchocr_ray.functions.ocr import OcrConfig, OcrEngine
 from pytorchocr_ray.functions.png import decode_gray, encode_gray
-from pytorchocr_ray.stages.ocr_stage import (
-    TOMBSTONE_REGION,
-    DetStage,
-    OcrStage,
-    RecStage,
-)
+from pytorchocr_ray.stages.ocr_stage import TOMBSTONE_REGION, OcrStage
 from pytorchocr_ray.state.weights import build_weights
-
-
-def _split(batch, media, config=None):
-    det = DetStage(media_ref=media, config=config)
-    return RecStage(config=config)(det(batch))
 
 
 def _page(img: np.ndarray, pad: int = 20) -> np.ndarray:
@@ -47,17 +36,14 @@ def _media_batch(ref: str) -> pa.Table:
 
 @pytest.mark.parametrize("use_cls", [False, True])
 def test_split_plan_applies_tps(use_cls):
-    """use_tps must reach the split plan's crops, as it does the fused
-    plan's: a curved word reads the same through both."""
+    """use_tps must reach the stage's crops: a curved word reads as
+    written, with or without the 0/180 classifier."""
     from test_tps import _render_curved_word
 
     media = {"img-0-0": encode_gray(_page(_render_curved_word("curved", amp=6)))}
-    batch = _media_batch("img-0-0")
     cfg = OcrConfig(use_tps=True, use_cls=use_cls)
-    fused = OcrStage(media_ref=media, config=cfg)(batch)
-    split = _split(batch, media, cfg)
-    assert fused["text"].to_pylist() == ["curved"]
-    assert split["text"].to_pylist() == ["curved"]
+    out = OcrStage(media_ref=media, config=cfg)(_media_batch("img-0-0"))
+    assert out["text"].to_pylist() == ["curved"]
 
 
 @pytest.fixture(scope="module")
@@ -114,13 +100,9 @@ def _expected_rows(batch: pa.Table, media: dict, engine: OcrEngine) -> list[dict
     return out
 
 
-def test_fused_and_split_emit_the_row_contract(contract_input):
+def test_ocr_stage_emits_the_row_contract(contract_input):
     batch, media = contract_input
-    fused = OcrStage(media_ref=media)(batch)
-    split = _split(batch, media)
-    assert fused.equals(split)
-
-    got = fused.to_pylist()
+    got = OcrStage(media_ref=media)(batch).to_pylist()
     assert got == _expected_rows(batch, media, OcrEngine(build_weights()))
 
     hand = [r for r in got if r["doc_id"] == "hand"]
@@ -142,18 +124,6 @@ def test_fused_and_split_emit_the_row_contract(contract_input):
     assert [r["region_idx"] for r in rows] == list(range(len(rows)))
     assert all(r["offset"] == 15 and r["n_spans"] == 6 for r in rows)
     assert all(r["text"] and len(r["box"]) == 8 for r in rows)
-
-
-def test_inline_payloads_match_lookup(contract_input):
-    """media_mode="join" hands the stages a ``data`` column instead of a
-    lookup; the rows must be the same."""
-    batch, media = contract_input
-    data = [media.get(r) if k == "media" else None
-            for k, r in zip(batch["kind"].to_pylist(), batch["media_ref"].to_pylist())]
-    joined = batch.append_column("data", pa.array(data, pa.binary()))
-    want = OcrStage(media_ref=media)(batch)
-    assert OcrStage(media_ref={})(joined).equals(want)
-    assert _split(joined, {}).equals(want)
 
 
 def test_missing_lineage_columns_default_to_zero():
