@@ -6,47 +6,7 @@ The driver initialises Ray itself; nothing here (or in the library) calls
 * ``entry()`` — flagship interleaved-corpus extraction at sf0.001 scale.
 * ``queries()`` — every implemented operator/pipeline (SURVEY.md §2 +
   training-data ops), each a callable of ``sf_dir``.
-* ``oracle_sql()`` — DuckDB twins for EVERY query (round 3: 34/34;
-  round 4 adds simsearch_pq / simsearch_ivfpq / token_quantile_filter /
-  events_value_quantile / sample_per_group / distinct_token_sketch /
-  countmin_sketch / bloom_incremental_dedup / tfidf_top_terms
-  -> 43/43; round 5 adds value_quantile_sketch (mergeable float-quantile
-  sketch), audio_features_adpcm (native IMA-ADPCM compressed audio),
-  repetition_stats / decontaminate / pack_sequences / lang_rebalance /
-  semdedup (corpus curation), bpe_token_count, image_dhash_dups /
-  image_dhash_near (perceptual-hash image dedup + Hamming-banded
-  near-dup, independent-oracle fixture), audio_features_mulaw
-  (native G.711 mu-law, the second compressed codec), passage_dedup
-  (ExactSubstr-style duplicated-passage removal), pii_redact
-  (email/phone/IP scrub), source_budget_cap (per-source token cap),
-  interleave_mix (weighted mixing schedule), vocab_encode (top-K
-  vocabulary + token-id encoding), and random_projection (JL sign
-  projection of embeddings), cdc_dedup (content-defined chunking
-  dedup — boundaries by rolling hash, shift-robust unlike fixed
-  windows), and epoch_shuffle (deterministic per-epoch global shuffle
-  into training shards), and (session 3) bm25_search (integer-exact
-  BM25 lexical top-k), lm_perplexity_filter (corpus-trained bigram-LM
-  CCNet-style quality filter), inverted_index (vocabulary-bounded
-  index build with posting-list fingerprints), range_join_tiers
-  (broadcast non-equi interval join), customers_without_orders
-  (distributed anti-join, TPC-H Q22 shape), user_running_total
-  (cumulative SUM OVER window), kmeans_clusters (k-bounded cluster
-  membership with member fingerprints), events_pivot (long-to-wide
-  hourly crosstab), extract_entities (per-occurrence explode),
-  bpe_merges / bpe_encode (BPE tokenizer training + encoding vs an
-  independent serial-reference fixture), funnel_steps (per-user
-  sequential-pattern funnel), weighted_sample (integer priority
-  sampling by document length), events_rollup (GROUP BY ROLLUP
-  subtotal levels) -> 76/76).
-  Round 2 re-based the sketch ops (fingerprint, simhash, minhash, n-gram
-  Jaccard, embedding LSH, IVF) on SQL-expressible hashes, gave the
-  flagship extraction and the table branch ground-truth oracles, and made
-  the audio/video fake decoders LCG-arithmetic so even the stub-decode
-  stages are hash-verified.  Round 3 added the engine-metric oracle (a
-  bit-exact single-process counters table), the image-driven table
-  branch, near-dup clusters (recursive-CTE twin), real-payload
-  audio/video queries (generator-knowledge expected parquet), a sliding
-  window, and int8 scalar-quantized similarity.
+* ``oracle_sql()`` — a DuckDB twin for EVERY query.
 
 The interleaved corpus itself is synthesized deterministically per sf_dir
 (seed fixed, cached under /tmp) because the BASELINE input_hint's

@@ -3,7 +3,17 @@
 Everything here follows the same scale discipline as the extraction
 pipeline: column-pruned reads, vectorized per-batch kernels, partial
 aggregation before any groupby shuffle, broadcast for small sides.
+
+:func:`co_partition` is the one keyed exchange: every operator that needs
+all rows of a key in one place (a join side, a hash class, a user's
+events) goes through it, and only it decides the group count, the key
+hash, how the sides are tagged and the block format.
 """
+
+from __future__ import annotations
+
+import numpy as np
+import pyarrow as pa
 
 
 _SMALL_FILE_BYTES = 64 * 1024 * 1024
@@ -70,3 +80,99 @@ def pool_size(cap: int = 8) -> int:
     from ..pipelines.extract import default_concurrency
 
     return min(cap, default_concurrency())
+
+
+def salt_count(cpus: int | None = None) -> int:
+    """Group count of a :func:`co_partition` exchange, derived from the
+    cluster: ~2 groups per CPU keeps every worker busy across two waves
+    while each group stays large enough to amortize its Python call; a
+    power of two, clamped to [16, 1024]."""
+    if cpus is None:
+        import ray
+
+        cpus = int(ray.cluster_resources().get("CPU", 4))
+    want = max(1, 2 * cpus)
+    return max(16, min(1024, 1 << (want - 1).bit_length()))
+
+
+_SALT = "__salt"
+_SIDE = "__side"
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _key_hash(t: pa.Table, key: list[str]) -> np.ndarray:
+    """uint64 mix of the key columns: equal keys hash equally on every
+    side; string columns go through the polynomial hash first."""
+    from .hashing import poly_hash_strings
+
+    h = np.zeros(t.num_rows, dtype=np.uint64)
+    for k in key:
+        col = t[k]
+        if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
+            v = poly_hash_strings(col.to_pylist())
+        else:
+            v = col.to_numpy().astype(np.int64).view(np.uint64)
+        h = (h ^ v) * _MIX
+        h ^= h >> np.uint64(32)
+    return h
+
+
+def co_partition(fn, **sides):
+    """Salted sort-shuffle that brings every row of a key together.
+
+    Each side is ``name=(ds, key, schema)``: ``key`` is a column name or a
+    list of them (int64 or string), ``schema`` the side's columns as a
+    ``pa.schema`` or a ``{name: type}`` dict (input columns are selected
+    and cast to it).  Rows are grouped on a hash of the key into
+    :func:`salt_count` groups, so one ``fn`` call covers many keys and
+    every row of a key, from every side, lands in the same call.  ``fn``
+    receives one pandas frame per side (``fn(**frames)``) holding exactly
+    that side's declared columns and types, empty when the group has no
+    rows of it, and returns a pandas frame or an Arrow table.
+
+    The sides are padded to one schema with typed nulls before the union
+    and split again in Arrow: Ray would otherwise null-pad them itself
+    (int64 arriving as float64 in pandas, which breaks 64-bit hashes) and
+    drop a side's columns from groups without its rows."""
+    salts = salt_count()
+    # (name, schema) only: the closures below ship to every worker
+    layout = [(name, pa.schema(schema)) for name, (_ds, _key, schema) in sides.items()]
+    types: dict[str, pa.DataType] = {}
+    for _name, schema in layout:
+        for f in schema:
+            if types.setdefault(f.name, f.type) != f.type:
+                raise ValueError(f"co_partition: column {f.name!r} has two types")
+
+    def tagger(i: int, key: list[str], schema: pa.Schema):
+        def tag(batch: pa.Table) -> pa.Table:
+            t = batch.select(schema.names)
+            if not t.schema.equals(schema):
+                t = t.cast(schema)
+            n = t.num_rows
+            salt = _key_hash(t, key) & np.uint64(salts - 1)
+            cols = {_SALT: pa.array(salt.astype(np.int64)),
+                    _SIDE: pa.array(np.full(n, i, dtype=np.int8))}
+            for c, typ in types.items():
+                cols[c] = t[c] if c in schema.names else pa.nulls(n, typ)
+            return pa.table(cols)
+
+        return tag
+
+    tagged = [
+        ds.map_batches(
+            tagger(i, [key] if isinstance(key, str) else list(key), schema),
+            batch_format="pyarrow",
+        )
+        for i, ((ds, key, _schema), (_name, schema)) in enumerate(zip(sides.values(), layout))
+    ]
+    u = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
+
+    def close(group: pa.Table):
+        side = group[_SIDE].to_numpy()
+        frames = {}
+        for i, (name, schema) in enumerate(layout):
+            t = group if len(layout) == 1 else group.filter(pa.array(side == i))
+            frames[name] = t.select(schema.names).to_pandas()
+        return fn(**frames)
+
+    return u.groupby(_SALT).map_groups(close, batch_format="pyarrow")

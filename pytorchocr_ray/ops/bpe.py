@@ -43,7 +43,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from . import read
+from . import co_partition, read
 
 EOW = "</w>"
 N_MERGES = 12
@@ -111,12 +111,8 @@ def _encode_word(
 
 def _word_counts(sf_dir: str, max_words: int) -> list[tuple[str, int]]:
     """Top-``max_words`` (word, count) by (count DESC, word ASC): per-
-    batch partials -> one word-salted exchange -> per-group top-k -> a
-    K-bounded driver sort (the vocab_encode collect pattern)."""
-    from .dedup import _auto_salts
-    from .hashing import poly_hash_strings
-
-    salts = _auto_salts()
+    batch partials -> one co-partition on the word -> per-group top-k ->
+    a K-bounded driver sort (the vocab_encode collect pattern)."""
     ds = read(sf_dir, "documents", columns=["text"])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -124,17 +120,10 @@ def _word_counts(sf_dir: str, max_words: int) -> list[tuple[str, int]]:
         for t in batch["text"].to_pylist():
             toks.extend(t.split())
         w, c = np.unique(np.asarray(toks, dtype=object), return_counts=True)
-        h = poly_hash_strings(list(w)).astype(np.int64)
-        return pa.table(
-            {
-                "word": pa.array(w),
-                "c": pa.array(c.astype(np.int64)),
-                "salt": pa.array((h % salts).astype(np.int32)),
-            }
-        )
+        return pa.table({"word": pa.array(w, pa.string()), "c": pa.array(c.astype(np.int64))})
 
-    def topk_group(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.groupby("word", as_index=False)["c"].sum()
+    def topk_group(words: pd.DataFrame) -> pd.DataFrame:
+        g = words.groupby("word", as_index=False)["c"].sum()
         g = g.sort_values(["c", "word"], ascending=[False, True]).head(
             max_words
         )
@@ -142,10 +131,15 @@ def _word_counts(sf_dir: str, max_words: int) -> list[tuple[str, int]]:
         return g[["word", "c"]]
 
     rows = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("salt")
-        .map_groups(topk_group, batch_format="pandas")
-        .to_pandas()  # <= max_words per salt group; K-bounded collect
+        co_partition(
+            topk_group,
+            words=(
+                ds.map_batches(partial, batch_format="pyarrow"),
+                "word",
+                {"word": pa.string(), "c": pa.int64()},
+            ),
+        )
+        .to_pandas()  # <= max_words per group; K-bounded collect
         .sort_values(["c", "word"], ascending=[False, True])
         .head(max_words)
     )
@@ -316,17 +310,17 @@ def bpe_reference(sf_dir: str, n_merges: int, max_words: int):
 
 
 def _fixture_dir(sf_dir: str, n_merges: int, max_words: int) -> str:
-    """Expected tables from the serial reference, cached per corpus
-    content signature (the imagededup fixture pattern)."""
+    """Expected tables from the serial reference, cached per module
+    source, parameters and corpus CONTENT (a rewrite that keeps the
+    file's size and mtime still gets a fresh fixture)."""
     import hashlib
     import os
+    from pathlib import Path
 
-    src = open(__file__, "rb").read()
-    doc = f"{sf_dir}/documents.parquet"
+    src = Path(__file__).read_bytes()
+    doc = Path(f"{sf_dir}/documents.parquet").read_bytes()
     sig = hashlib.sha256(
-        src
-        + str((n_merges, max_words, os.path.getsize(doc),
-               int(os.path.getmtime(doc)))).encode()
+        src + str((n_merges, max_words)).encode() + doc
     ).hexdigest()[:16]
     d = f"/tmp/pytorchocr_bpe/{sig}"
     marker = os.path.join(d, "_SUCCESS")

@@ -33,7 +33,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from . import read
+from . import co_partition, read
 from .hashing import B_TOK, M31, TOKEN_SPLIT_RE, poly_hash_strings, sql_char_hash, sql_tokens, tokenize_batch
 
 _M = np.uint64(M31)
@@ -601,9 +601,8 @@ GROUP BY 1, 2
 # -------------------------------------- per-source budget + interleave
 #
 # Both ops need every document of one source co-located with its whole
-# source (a running ordering within the source): the exchange groups on
-# a SALT OF THE SOURCE NAME (char-hash & mask) so each Ray group holds a
-# handful of complete sources and the per-source work runs vectorized on
+# source (a running ordering within the source): one co-partition on
+# the source name, so each group holds a handful of complete sources and the per-source work runs vectorized on
 # sorted segments — one skinny shuffle of ~40-byte rows, never a group
 # per source (web corpora have 10^7 domains) and never text.  Ordering
 # within a source is the deterministic LCG scramble of doc_id (ties
@@ -616,36 +615,32 @@ BUDGET_TOKENS = 800
 MIX_SCALE = 1 << 20
 
 
-def _source_rows(ds, mask: np.int64):
-    """(salt, source, doc_id, h, n_tokens) skinny rows for the
-    per-source ops; salt = char-hash(source) & mask."""
-    from .hashing import poly_hash_strings
+def _source_side(ds):
+    """(source, doc_id, h, n_tokens) skinny rows for the per-source ops,
+    as a :func:`co_partition` side keyed on the source."""
 
     def fn(batch: pa.Table) -> pa.Table:
-        ids = np.asarray(batch["doc_id"].to_pylist(), dtype=np.int64)
-        srcs = batch["source"].to_pylist()
-        nt = pc.cast(
-            pc.count_substring_regex(batch["text"], TOKEN_SPLIT_RE), pa.int64()
-        ).to_numpy()
-        salt = poly_hash_strings(srcs).view(np.int64) & mask
-        h = (ids * REBAL_A + REBAL_C) % REBAL_M
+        ids = batch["doc_id"].to_numpy()
         return pa.table(
             {
-                "salt": pa.array(salt),
-                "source": pa.array(srcs, pa.string()),
-                "doc_id": pa.array(ids),
-                "h": pa.array(h),
-                "n_tokens": pa.array(nt),
+                "source": batch["source"],
+                "doc_id": batch["doc_id"],
+                "h": pa.array((ids * REBAL_A + REBAL_C) % REBAL_M),
+                "n_tokens": pc.count_substring_regex(batch["text"], TOKEN_SPLIT_RE),
             }
         )
 
-    return ds.map_batches(fn, batch_format="pyarrow")
+    return (
+        ds.map_batches(fn, batch_format="pyarrow"),
+        "source",
+        {"source": pa.string(), "doc_id": pa.int64(), "h": pa.int64(), "n_tokens": pa.int64()},
+    )
 
 
-def _source_segments(group) -> tuple:
-    """Sort a salt group by (source, h, doc_id) and return the sorted
+def _source_segments(docs) -> tuple:
+    """Sort a group's docs by (source, h, doc_id) and return the sorted
     columns plus segment (start, end) bounds per source."""
-    g = group.sort_values(["source", "h", "doc_id"], kind="stable")
+    g = docs.sort_values(["source", "h", "doc_id"], kind="stable")
     src = g["source"].to_numpy(object)
     n = len(g)
     change = np.empty(n, dtype=bool)
@@ -668,13 +663,10 @@ def source_budget_cap(sf_dir: str, budget_tokens: int = BUDGET_TOKENS):
     stop, exactly the SQL running-sum semantics)."""
     import pandas as pd
 
-    from .dedup import _auto_salts
-
     ds = read(sf_dir, "documents", columns=["doc_id", "source", "text"])
-    mask = np.int64(_auto_salts() - 1)
 
-    def cap(group: pd.DataFrame) -> pa.Table:
-        g, src, starts, ends = _source_segments(group)
+    def cap(docs: pd.DataFrame) -> pa.Table:
+        g, src, starts, ends = _source_segments(docs)
         nt = g["n_tokens"].to_numpy(np.int64)
         cum = np.cumsum(nt)
         seg_base = np.repeat(cum[starts] - nt[starts], ends - starts)
@@ -688,11 +680,7 @@ def source_budget_cap(sf_dir: str, budget_tokens: int = BUDGET_TOKENS):
             }
         )
 
-    return (
-        _source_rows(ds, mask)
-        .groupby("salt")
-        .map_groups(cap, batch_format="pandas")
-    )
+    return co_partition(cap, docs=_source_side(ds))
 
 
 def source_budget_cap_sql(budget_tokens: int = BUDGET_TOKENS) -> str:
@@ -726,13 +714,10 @@ def interleave_mix(sf_dir: str):
     sort) is materialized."""
     import pandas as pd
 
-    from .dedup import _auto_salts
-
     ds = read(sf_dir, "documents", columns=["doc_id", "source", "text"])
-    mask = np.int64(_auto_salts() - 1)
 
-    def mix(group: pd.DataFrame) -> pa.Table:
-        g, src, starts, ends = _source_segments(group)
+    def mix(docs: pd.DataFrame) -> pa.Table:
+        g, src, starts, ends = _source_segments(docs)
         n = len(g)
         seg_len = ends - starts
         rank = np.arange(n, dtype=np.int64) - np.repeat(starts, seg_len)
@@ -750,11 +735,7 @@ def interleave_mix(sf_dir: str):
             }
         )
 
-    return (
-        _source_rows(ds, mask)
-        .groupby("salt")
-        .map_groups(mix, batch_format="pandas")
-    )
+    return co_partition(mix, docs=_source_side(ds))
 
 
 def interleave_mix_sql() -> str:
@@ -792,102 +773,60 @@ def passage_dedup(sf_dir: str, p: int = PASSAGE_LEN):
     document; ``clean_text`` is the kept tokens joined by single spaces
     (both sides rebuild from tokens, so whitespace is canonical).
 
-    Scale shape: TWO salted exchanges, both bounded —
+    Scale shape: TWO co-partitions, both bounded —
       1. chunk instances (chash, doc_id, idx) are ~24-byte rows grouped
-         by a salt of the hash (whole hash class -> one salt group);
+         on the chunk hash (a whole hash class lands in one group);
          duplicate instances are found by one argsort + run-length pass
          per group, never a per-hash Ray group;
-      2. the flagged (doc_id, idx) rows union with the document text
-         rows on a salt of doc_id for the rebuild — the only exchange
-         that carries text, and the output itself is that text.
+      2. the flagged (doc_id, idx) rows meet the document text rows on
+         doc_id for the rebuild — the only exchange that carries text,
+         and the output itself is that text.
     No driver-side materialization of the duplicated-hash set (corpus-
     scale at 100 TB); the driver never sees anything but the plan.
     """
     import pandas as pd
-    import pyarrow as pa
 
-    from .dedup import _auto_salts
+    from .hashing import poly_hash_segments
 
     ds = read(sf_dir, "documents", columns=["doc_id", "text"])
-    n_salts = _auto_salts()
-    mask = np.int64(n_salts - 1)
 
     def chunk_rows(batch: pa.Table) -> pa.Table:
-        ids = np.asarray(batch["doc_id"].to_pylist(), dtype=np.int64)
-        texts = batch["text"].to_pylist()
-        h, lens = _doc_token_hashes(texts)
+        h, lens = _doc_token_hashes(batch["text"].to_pylist())
         ccnt = -(-lens // p)  # ceil; 0 chunks for empty docs
         total = int(ccnt.sum())
-        if total == 0:
-            return pa.table(
-                {"salt": pa.array([], pa.int64()),
-                 "chash": pa.array([], pa.int64()),
-                 "doc_id": pa.array([], pa.int64()),
-                 "idx": pa.array([], pa.int64())}
-            )
         clen = np.full(total, p, dtype=np.int64)
         ends = np.cumsum(ccnt)
         nz = ccnt > 0
         clen[ends[nz] - 1] = lens[nz] - (ccnt[nz] - 1) * p  # last partial
-        from .hashing import poly_hash_segments
-
-        chash = poly_hash_segments(h, clen).view(np.int64)
         starts = ends - ccnt
-        idx = np.arange(total, dtype=np.int64) - np.repeat(starts, ccnt)
         return pa.table(
             {
-                "salt": pa.array(chash & mask),
-                "chash": pa.array(chash),
-                "doc_id": pa.array(np.repeat(ids, ccnt)),
-                "idx": pa.array(idx),
+                "chash": pa.array(poly_hash_segments(h, clen).view(np.int64)),
+                "doc_id": pa.array(np.repeat(batch["doc_id"].to_numpy(), ccnt)),
+                "idx": pa.array(np.arange(total, dtype=np.int64) - np.repeat(starts, ccnt)),
             }
         )
 
-    def flag_dups(group: pd.DataFrame) -> pd.DataFrame:
-        ch = group["chash"].to_numpy(np.int64)
+    def flag_dups(chunks: pd.DataFrame) -> pd.DataFrame:
+        ch = chunks["chash"].to_numpy(np.int64)
         order = np.argsort(ch, kind="stable")
         cs = ch[order]
-        n = len(cs)
-        new_run = np.empty(n, dtype=bool)
-        if n:
-            new_run[0] = True
-            new_run[1:] = cs[1:] != cs[:-1]
+        new_run = np.ones(len(cs), dtype=bool)
+        new_run[1:] = cs[1:] != cs[:-1]
         run_id = np.cumsum(new_run) - 1
-        run_len = np.bincount(run_id)
-        dup = run_len[run_id] >= 2
-        sel = order[dup]
-        ids = group["doc_id"].to_numpy(np.int64)[sel]
-        # ARROW output (both union branches must produce the same block
-        # type, or the downstream sort's boundary sampler asserts)
-        return pa.table(
-            {
-                "salt2": pa.array((ids * REBAL_A + REBAL_C) % REBAL_M & mask),
-                "doc_id": pa.array(ids),
-                "idx": pa.array(group["idx"].to_numpy(np.int64)[sel]),
-                "text": pa.array([""] * len(sel), pa.string()),
-            }
-        )
+        dup = np.bincount(run_id)[run_id] >= 2
+        return chunks.iloc[order[dup]][["doc_id", "idx"]]
 
-    flagged = (
-        ds.map_batches(chunk_rows, batch_format="pyarrow")
-        .groupby("salt")
-        .map_groups(flag_dups, batch_format="pandas")
+    flagged = co_partition(
+        flag_dups,
+        chunks=(
+            ds.map_batches(chunk_rows, batch_format="pyarrow"),
+            "chash",
+            {"chash": pa.int64(), "doc_id": pa.int64(), "idx": pa.int64()},
+        ),
     )
 
-    def doc_rows(batch: pa.Table) -> pa.Table:
-        ids = np.asarray(batch["doc_id"].to_pylist(), dtype=np.int64)
-        return pa.table(
-            {
-                "salt2": pa.array((ids * REBAL_A + REBAL_C) % REBAL_M & mask),
-                "doc_id": pa.array(ids),
-                "idx": pa.array(np.full(len(ids), -1, dtype=np.int64)),
-                "text": batch["text"],
-            }
-        )
-
-    def rebuild(group: pd.DataFrame) -> pd.DataFrame:
-        docs = group[group["idx"] < 0]
-        flags = group[group["idx"] >= 0]
+    def rebuild(docs: pd.DataFrame, flags: pd.DataFrame) -> pa.Table:
         bad: dict[int, np.ndarray] = {
             int(d): g["idx"].to_numpy(np.int64)
             for d, g in flags.groupby("doc_id")
@@ -918,11 +857,10 @@ def passage_dedup(sf_dir: str, p: int = PASSAGE_LEN):
             }
         )
 
-    return (
-        ds.map_batches(doc_rows, batch_format="pyarrow")
-        .union(flagged)
-        .groupby("salt2")
-        .map_groups(rebuild, batch_format="pandas")
+    return co_partition(
+        rebuild,
+        docs=(ds, "doc_id", {"doc_id": pa.int64(), "text": pa.string()}),
+        flags=(flagged, "doc_id", {"doc_id": pa.int64(), "idx": pa.int64()}),
     )
 
 
@@ -1000,42 +938,29 @@ def cdc_dedup(sf_dir: str, w: int = CDC_W, kbits: int = CDC_KBITS):
     Returns (doc_id, n_tokens, n_chunks, n_dup_chunks, dup_tokens) for
     every document (zeros for empty docs).
 
-    Scale shape: TWO salted exchanges, both over <= ~32-byte integer
-    rows — (1) chunk instances grouped by a salt of the chunk hash
-    (whole hash class -> one group; dup runs found by one argsort +
+    Scale shape: TWO co-partitions, both over <= ~32-byte integer
+    rows — (1) chunk instances grouped on the chunk hash (a whole hash
+    class lands in one group; dup runs found by one argsort +
     run-length pass, then reduced to PER-DOC PARTIAL sums inside the
-    group), (2) the per-doc partials co-partitioned on a salt of doc_id
-    and summed.  Text never shuffles; the driver never materializes the
+    group), (2) the per-doc partials meet every doc_id on doc_id and are
+    summed.  Text never shuffles; the driver never materializes the
     chunk-hash set.  The doc-final window is never a boundary, so no
     empty chunks exist by construction.
     """
     import pandas as pd
 
-    from .dedup import _auto_salts
     from .hashing import poly_hash_segments
 
     ds = read(sf_dir, "documents", columns=["doc_id", "text"])
-    n_salts = _auto_salts()
-    mask = np.int64(n_salts - 1)
     modv = np.uint64(1 << kbits)
-
-    empty = pa.table(
-        {
-            "salt": pa.array([], pa.int64()),
-            "doc_id": pa.array([], pa.int64()),
-            "chash": pa.array([], pa.int64()),
-            "clen": pa.array([], pa.int64()),
-        }
-    )
+    counts = ["n_tokens", "n_chunks", "n_dup_chunks", "dup_tokens"]
 
     def chunk_rows(batch: pa.Table) -> pa.Table:
-        ids = np.asarray(batch["doc_id"].to_pylist(), dtype=np.int64)
+        ids = batch["doc_id"].to_numpy()
         texts = batch["text"].to_pylist()
         n_docs = len(texts)
         h, lens = _doc_token_hashes(texts)
         total = len(h)
-        if total == 0:
-            return empty
         g, gcnt = _windowed_hashes(h, lens, w)
         gstarts = np.cumsum(gcnt) - gcnt
         if len(g):
@@ -1063,92 +988,63 @@ def cdc_dedup(sf_dir: str, w: int = CDC_W, kbits: int = CDC_KBITS):
             gs_tok = np.repeat(gstarts, lens)
             tok_chunk[sel] = cb[(gs_tok + tlocal - w)[sel]]
         # chunks are contiguous token runs -> run-length encode
-        new = np.empty(total, dtype=bool)
-        new[0] = True
+        new = np.ones(total, dtype=bool)
         new[1:] = (doc_tok[1:] != doc_tok[:-1]) | (
             tok_chunk[1:] != tok_chunk[:-1]
         )
         rstarts = np.flatnonzero(new)
         clen = np.diff(np.append(rstarts, total))
         cdoc = ids[doc_tok[rstarts]]
-        chash = poly_hash_segments(h, clen).view(np.int64)
         return pa.table(
             {
-                "salt": pa.array(chash & mask),
                 "doc_id": pa.array(cdoc),
-                "chash": pa.array(chash),
+                "chash": pa.array(poly_hash_segments(h, clen).view(np.int64)),
                 "clen": pa.array(clen),
             }
         )
 
-    def flag_and_partial(group: pd.DataFrame) -> pd.DataFrame:
-        """One salt group holds entire chunk-hash classes: mark runs of
-        >= 2 equal hashes as duplicated, then collapse to per-doc
-        partial sums (the group never leaves more than its doc count)."""
-        ch = group["chash"].to_numpy(np.int64)
+    def flag_and_partial(chunks: pd.DataFrame) -> pd.DataFrame:
+        """A group holds entire chunk-hash classes: mark runs of >= 2
+        equal hashes as duplicated, then collapse to per-doc partial
+        sums (the group never leaves more than its doc count)."""
+        ch = chunks["chash"].to_numpy(np.int64)
         order = np.argsort(ch, kind="stable")
         cs = ch[order]
-        n = len(cs)
-        new_run = np.empty(n, dtype=bool)
-        if n:
-            new_run[0] = True
-            new_run[1:] = cs[1:] != cs[:-1]
+        new_run = np.ones(len(cs), dtype=bool)
+        new_run[1:] = cs[1:] != cs[:-1]
         run_id = np.cumsum(new_run) - 1
-        dup = np.zeros(n, dtype=bool)
-        if n:
-            dup[order] = np.bincount(run_id)[run_id] >= 2
-        ids = group["doc_id"].to_numpy(np.int64)
-        clen = group["clen"].to_numpy(np.int64)
-        uids, inv = np.unique(ids, return_inverse=True)
-        out = pa.table(
+        dup = np.zeros(len(cs), dtype=bool)
+        dup[order] = np.bincount(run_id)[run_id] >= 2
+        clen = chunks["clen"].to_numpy(np.int64)
+        uids, inv = np.unique(chunks["doc_id"].to_numpy(np.int64), return_inverse=True)
+        return pd.DataFrame(
             {
-                "salt2": pa.array((uids * REBAL_A + REBAL_C) % REBAL_M & mask),
-                "doc_id": pa.array(uids),
-                "n_tokens": pa.array(np.bincount(inv, weights=clen).astype(np.int64)),
-                "n_chunks": pa.array(np.bincount(inv)),
-                "n_dup_chunks": pa.array(
-                    np.bincount(inv, weights=dup).astype(np.int64)
-                ),
-                "dup_tokens": pa.array(
-                    np.bincount(inv, weights=clen * dup).astype(np.int64)
-                ),
-            }
-        )
-        return out
-
-    partials = (
-        ds.map_batches(chunk_rows, batch_format="pyarrow")
-        .groupby("salt")
-        .map_groups(flag_and_partial, batch_format="pandas")
-    )
-
-    def base_rows(batch: pa.Table) -> pa.Table:
-        ids = np.asarray(batch["doc_id"].to_pylist(), dtype=np.int64)
-        z = np.zeros(len(ids), dtype=np.int64)
-        return pa.table(
-            {
-                "salt2": pa.array((ids * REBAL_A + REBAL_C) % REBAL_M & mask),
-                "doc_id": pa.array(ids),
-                "n_tokens": pa.array(z),
-                "n_chunks": pa.array(z),
-                "n_dup_chunks": pa.array(z),
-                "dup_tokens": pa.array(z),
+                "doc_id": uids,
+                "n_tokens": np.bincount(inv, weights=clen).astype(np.int64),
+                "n_chunks": np.bincount(inv).astype(np.int64),
+                "n_dup_chunks": np.bincount(inv, weights=dup).astype(np.int64),
+                "dup_tokens": np.bincount(inv, weights=clen * dup).astype(np.int64),
             }
         )
 
-    def total(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.groupby("doc_id", as_index=False)[
-            ["n_tokens", "n_chunks", "n_dup_chunks", "dup_tokens"]
-        ].sum()
-        return g
-
-    base = read(sf_dir, "documents", columns=["doc_id"]).map_batches(
-        base_rows, batch_format="pyarrow"
+    partials = co_partition(
+        flag_and_partial,
+        chunks=(
+            ds.map_batches(chunk_rows, batch_format="pyarrow"),
+            "chash",
+            {"doc_id": pa.int64(), "chash": pa.int64(), "clen": pa.int64()},
+        ),
     )
-    return (
-        base.union(partials).groupby("salt2").map_groups(
-            total, batch_format="pandas"
-        )
+
+    def total(docs: pd.DataFrame, partials: pd.DataFrame) -> pd.DataFrame:
+        # every doc gets a row: empty docs have no chunks, hence no partial
+        zeros = docs.assign(**{c: np.int64(0) for c in counts})
+        return pd.concat([zeros, partials]).groupby("doc_id", as_index=False)[counts].sum()
+
+    return co_partition(
+        total,
+        docs=(read(sf_dir, "documents", columns=["doc_id"]), "doc_id", {"doc_id": pa.int64()}),
+        partials=(partials, "doc_id", {"doc_id": pa.int64(), **{c: pa.int64() for c in counts}}),
     )
 
 
@@ -1269,7 +1165,7 @@ FROM k
 """
 
 
-# ------------------------------------- corpus-LM perplexity filter (r5)
+# ----------------------------------------- corpus-LM perplexity filter
 #
 # CCNet-style quality filtering: train a bigram language model ON the
 # corpus itself, score every document by its per-bigram log-probability
@@ -1286,15 +1182,12 @@ FROM k
 # floor(log2) is computed by integer shifts (lexsearch.bit_length_u64 —
 # exact past 2^53, unlike float log2) and as length(bin(q)) - 1 in SQL.
 #
-# Scale shape: the model is NEVER materialized on the driver (VERDICT r4
-# on the old tfidf df-dict).  Pass 1 builds per-(w1,w2) conditional
-# probabilities with per-batch partial counts salted by hash(w1) — every
-# bigram starting with w1 lands in one group, so c(w1,*) is a local sum.
-# Pass 2 re-streams the corpus into per-doc bigram rows, unions them
-# with the model rows, and a second salt-groupby attaches logq with one
-# vectorized merge per group (the _verify_jaccard co-partition pattern);
-# a doc-salted map_groups exchange closes per-doc totals.  The scored
-# table is
+# Scale shape: the model is NEVER materialized on the driver.  Per-batch
+# partial bigram counts and per-doc bigram rows meet in ONE co-partition
+# on w1: every bigram starting with w1 lands in one group, so c(w1,*)
+# is a local sum, and each group builds its slice of the model and
+# attaches logq to its doc rows with one vectorized merge.  A
+# co-partition on doc_id closes per-doc totals.  The scored table is
 # pinned via materialize() for the histogram + flag passes — it is 4
 # ints per document (~32 B/doc, sketches-only, the same bound class as
 # minhash's pinned signature table).  Docs with < 2 tokens have no
@@ -1310,17 +1203,15 @@ def lm_perplexity_filter(sf_dir: str, pct: int = 10):
     Value-exact DuckDB twin in :func:`lm_perplexity_filter_sql`."""
     import pandas as pd
 
-    from .dedup import _auto_salts
     from .lexsearch import bit_length_u64
     from .textstats import quantile_threshold
 
-    salts = _auto_salts()
     ds = read(sf_dir, "documents", columns=["doc_id", "text"])
 
     def _batch_bigrams(batch: pa.Table):
         """(doc_ids_per_bigram, w1, w2) object arrays for a batch."""
         texts = batch["text"].to_pylist()
-        ids = np.asarray(batch["doc_id"].to_pylist(), dtype=np.int64)
+        ids = batch["doc_id"].to_numpy()
         flat, lens = tokenize_batch(texts)
         flat = np.asarray(flat, dtype=object)
         nb = np.maximum(lens - 1, 0)
@@ -1328,7 +1219,6 @@ def lm_perplexity_filter(sf_dir: str, pct: int = 10):
             e = np.zeros(0, dtype=np.int64)
             return e, flat[:0], flat[:0]
         ends = np.cumsum(lens)
-        starts = ends - lens
         # bigram start positions: every token index except each doc's last
         pos = np.arange(len(flat), dtype=np.int64)
         is_last = np.zeros(len(flat), dtype=bool)
@@ -1338,8 +1228,6 @@ def lm_perplexity_filter(sf_dir: str, pct: int = 10):
         return doc_of, flat[p1], flat[p1 + 1]
 
     def count_partial(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-
         _, w1, w2 = _batch_bigrams(batch)
         g = (
             pd.DataFrame({"w1": w1, "w2": w2})
@@ -1347,31 +1235,9 @@ def lm_perplexity_filter(sf_dir: str, pct: int = 10):
             .size()
             .rename(columns={"size": "c"})
         )
-        h = poly_hash_strings(g["w1"].tolist()).astype(np.int64)
-        g["salt"] = (h % salts).astype(np.int32)
-        g["c"] = g["c"].astype(np.int64)
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    def model_group(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.groupby(["w1", "w2"], as_index=False)["c"].sum()
-        c1 = g.groupby("w1")["c"].transform("sum").to_numpy(np.int64)
-        q = ((g["c"].to_numpy(np.int64) << LM_QBITS) // c1).astype(
-            np.uint64
-        )
-        out = g[["w1", "w2"]].copy()
-        out["logq"] = bit_length_u64(q) - 1
-        out["salt"] = group["salt"].iloc[0]
-        return out
-
-    model = (
-        ds.map_batches(count_partial, batch_format="pyarrow")
-        .groupby("salt")
-        .map_groups(model_group, batch_format="pandas")
-    )
-
     def doc_rows(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-
         doc_of, w1, w2 = _batch_bigrams(batch)
         g = (
             pd.DataFrame({"doc_id": doc_of, "w1": w1, "w2": w2})
@@ -1379,62 +1245,24 @@ def lm_perplexity_filter(sf_dir: str, pct: int = 10):
             .size()
             .rename(columns={"size": "occ"})
         )
-        h = poly_hash_strings(g["w1"].tolist()).astype(np.int64)
-        g["salt"] = (h % salts).astype(np.int32)
-        g["occ"] = g["occ"].astype(np.int64)
-        g["logq"] = np.int64(0)
-        return pa.Table.from_pandas(
-            g[["salt", "w1", "w2", "doc_id", "occ", "logq"]],
-            preserve_index=False,
-        )
+        return pa.Table.from_pandas(g, preserve_index=False)
 
-    def model_rows(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table(
-            {
-                "salt": batch["salt"],
-                "w1": batch["w1"],
-                "w2": batch["w2"],
-                "doc_id": pa.array(np.full(n, -1, dtype=np.int64)),
-                "occ": pa.array(np.zeros(n, dtype=np.int64)),
-                "logq": pc.cast(batch["logq"], pa.int64()),
-            }
-        )
-
-    u = ds.map_batches(doc_rows, batch_format="pyarrow").union(
-        model.map_batches(model_rows, batch_format="pyarrow")
-    )
-
-    def attach(group: pd.DataFrame) -> pd.DataFrame:
-        docs = group[group["doc_id"] >= 0]
-        mod = group[group["doc_id"] < 0]
-        if docs.empty:
-            return pd.DataFrame(
-                {
-                    "doc_id": pd.Series([], dtype=np.int64),
-                    "n_bigrams": pd.Series([], dtype=np.int64),
-                    "ll": pd.Series([], dtype=np.int64),
-                    "psalt": pd.Series([], dtype=np.int32),
-                }
-            )
-        m = docs[["doc_id", "w1", "w2", "occ"]].merge(
-            mod[["w1", "w2", "logq"]], on=["w1", "w2"], how="inner"
-        )
+    def score(counts: pd.DataFrame, bigrams: pd.DataFrame) -> pd.DataFrame:
+        model = counts.groupby(["w1", "w2"], as_index=False)["c"].sum()
+        c1 = model.groupby("w1")["c"].transform("sum").to_numpy(np.int64)
+        q = ((model["c"].to_numpy(np.int64) << LM_QBITS) // c1).astype(np.uint64)
+        model["logq"] = bit_length_u64(q) - 1
+        m = bigrams.merge(model[["w1", "w2", "logq"]], on=["w1", "w2"], how="inner")
         m["ll"] = m["occ"] * m["logq"]
         out = m.groupby("doc_id", as_index=False).agg(
             n_bigrams=("occ", "sum"), ll=("ll", "sum")
         )
         out["n_bigrams"] = out["n_bigrams"].astype(np.int64)
         out["ll"] = out["ll"].astype(np.int64)
-        # re-salt by doc for the per-doc close-out: Ray's groupby.sum()
-        # aggregate measured 18 s on these 86k rows at sf0.1 where the
-        # salted map_groups exchange takes ~1 s (the image_dhash_near
-        # lesson: int-keyed co-partition beats the generic aggregate)
-        out["psalt"] = (out["doc_id"] % salts).astype(np.int32)
         return out
 
-    def per_doc(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.groupby("doc_id", as_index=False).agg(
+    def per_doc(partials: pd.DataFrame) -> pd.DataFrame:
+        g = partials.groupby("doc_id", as_index=False).agg(
             n_bigrams=("n_bigrams", "sum"), ll=("ll", "sum")
         )
         nb = g["n_bigrams"].to_numpy(np.int64)
@@ -1448,13 +1276,27 @@ def lm_perplexity_filter(sf_dir: str, pct: int = 10):
             }
         )
 
-    scored = (
-        u.groupby("salt")
-        .map_groups(attach, batch_format="pandas")
-        .groupby("psalt")
-        .map_groups(per_doc, batch_format="pandas")
-        .materialize()  # 4 ints/doc — sketches-only pin, see header
+    partials = co_partition(
+        score,
+        counts=(
+            ds.map_batches(count_partial, batch_format="pyarrow"),
+            "w1",
+            {"w1": pa.string(), "w2": pa.string(), "c": pa.int64()},
+        ),
+        bigrams=(
+            ds.map_batches(doc_rows, batch_format="pyarrow"),
+            "w1",
+            {"doc_id": pa.int64(), "w1": pa.string(), "w2": pa.string(), "occ": pa.int64()},
+        ),
     )
+    # per-doc close-out as a co-partition on doc_id: Ray's groupby.sum()
+    # aggregate measured 18 s on these 86k rows at sf0.1 where the
+    # co-partition takes ~1 s
+    scored = co_partition(
+        per_doc,
+        partials=(partials, "doc_id",
+                  {"doc_id": pa.int64(), "n_bigrams": pa.int64(), "ll": pa.int64()}),
+    ).materialize()  # 4 ints/doc — sketches-only pin, see header
 
     def hist_partial(batch: pa.Table) -> pa.Table:
         v, c = np.unique(
@@ -1516,7 +1358,7 @@ FROM a, t
 """
 
 
-# ------------------------------------------- k-means clustering (r5)
+# ----------------------------------------------- k-means clustering
 #
 # Clustering as a first-class output (semdedup above USES the
 # assignment; this op REPORTS it): per-cluster membership size and a

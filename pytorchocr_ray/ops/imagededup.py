@@ -35,6 +35,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from . import co_partition, pool_size
+
 DHASH_ROWS = 8
 DHASH_COLS = 9  # 8 comparisons per row -> 64 bits
 _MIN_H, _MIN_W = DHASH_ROWS, DHASH_COLS
@@ -119,7 +121,7 @@ def oracle_dhash_fixture(media_dir: str) -> str:
     """Run the independent oracle over the media table -> fixture parquet
     (media_ref, dhash), cached under /tmp keyed by module source + a
     content signature of the media files (size+mtime — auto-busts on
-    regeneration, per ADVICE r4 on the IVF cache)."""
+    regeneration)."""
     import hashlib
     import os
 
@@ -190,8 +192,6 @@ def image_dhash(
     streaming executor — observed as a livelock in a 4-cpu session)."""
     import ray.data as rd
 
-    from . import pool_size
-
     ds = rd.read_parquet(_media_files(media_dir))
     return ds.map_batches(
         DHashStage,
@@ -204,19 +204,34 @@ def image_dhash(
 def image_dhash_dups(media_dir: str, concurrency: int | None = None):
     """(media_ref, dhash, group_n, is_dup): exact-dHash duplicate groups
     with the keep-first rule (lowest media_ref is the retained
-    representative).  One groupby exchange carrying 8-byte keys."""
+    representative).  One co-partition on the 8-byte hash; each group
+    closes out with one sort by (dhash, media_ref), group sizes and
+    keep-first flags coming from the hash-run boundaries."""
     import pandas as pd
 
-    def mark(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values("media_ref").reset_index(drop=True)
-        g["group_n"] = np.int64(len(g))
-        g["is_dup"] = (np.arange(len(g)) > 0).astype(np.int64)
-        return g[["media_ref", "dhash", "group_n", "is_dup"]]
+    def mark(hashes: pd.DataFrame) -> pd.DataFrame:
+        g = hashes.sort_values(["dhash", "media_ref"], kind="mergesort")
+        h = g["dhash"].to_numpy(np.int64)
+        first = np.ones(len(h), dtype=bool)
+        first[1:] = h[1:] != h[:-1]
+        starts = np.flatnonzero(first)
+        run_n = np.diff(np.append(starts, len(h)))
+        return pd.DataFrame(
+            {
+                "media_ref": g["media_ref"].to_numpy(object),
+                "dhash": h,
+                "group_n": np.repeat(run_n, run_n),
+                "is_dup": (~first).astype(np.int64),
+            }
+        )
 
-    return (
-        image_dhash(media_dir, concurrency=concurrency)
-        .groupby("dhash")
-        .map_groups(mark, batch_format="pandas")
+    return co_partition(
+        mark,
+        hashes=(
+            image_dhash(media_dir, concurrency=concurrency),
+            "dhash",
+            {"media_ref": pa.string(), "dhash": pa.int64()},
+        ),
     )
 
 
@@ -279,15 +294,13 @@ def image_dhash_near(
     a smaller media_ref sits within Hamming 1..max_hamming (see module
     note — flags, not pairs, keep the output linear).  Undecodable /
     sub-grid images (dhash == DHASH_EMPTY) are excluded.  One
-    band-exploded groupby whose rows are <= ~40 bytes; payload bytes
-    never shuffle; the per-image cross-band union is a second salted
-    co-partition (int key) with a pandas C-level groupby inside."""
+    band-exploded co-partition on the (band, key, key2) bucket whose rows
+    are <= ~40 bytes; payload bytes never shuffle; the per-image
+    cross-band union is a second co-partition on media_ref."""
     import logging
 
     import pandas as pd
     import ray
-
-    from .dedup import _auto_salts
 
     # materialize the (media_ref, dhash) table ONCE: it is consumed twice
     # (hot-bucket pre-pass + band explode) and re-deriving it would decode
@@ -297,7 +310,6 @@ def image_dhash_near(
     # materialize, not a corpus one.
     hashes = image_dhash(media_dir, concurrency=concurrency).materialize()
     mask16 = np.int64((1 << NEAR_BAND_BITS) - 1)
-    n_salts = _auto_salts()
 
     def _keys(h: np.ndarray) -> np.ndarray:
         # arithmetic shift + mask extracts bits [16b, 16b+16) exactly as
@@ -310,7 +322,7 @@ def image_dhash_near(
     # hot-bucket pre-pass: (band, key) histogram, bounded by the key
     # space (4 x 2^16 rows max) regardless of corpus size
     def key_counts(batch: pa.Table) -> pa.Table:
-        h = np.asarray(batch["dhash"].to_pylist(), dtype=np.int64)
+        h = batch["dhash"].to_numpy()
         h = h[h != DHASH_EMPTY]
         keys = _keys(h)
         return pa.Table.from_pandas(
@@ -347,10 +359,9 @@ def image_dhash_near(
     hot_ref = ray.put(hot_by_band)
 
     def explode(batch: pa.Table) -> pa.Table:
-        refs = np.asarray(batch["media_ref"].to_pylist(), dtype=object)
-        h = np.asarray(batch["dhash"].to_pylist(), dtype=np.int64)
-        keep = h != DHASH_EMPTY
-        refs, h = refs[keep], h[keep]
+        h = batch["dhash"].to_numpy()
+        keep = np.flatnonzero(h != DHASH_EMPTY)
+        h = h[keep]
         n = len(h)
         keys = _keys(h)
         hot_ = ray.get(hot_ref)
@@ -362,32 +373,18 @@ def image_dhash_near(
             sub = (h >> np.int64(16 * ((b + 2) % NEAR_BANDS))) & mask16
             is_hot = np.isin(keys[:, b], hk)
             key2[is_hot, b] = sub[is_hot]
-        band = np.tile(np.arange(NEAR_BANDS, dtype=np.int64), n)
-        key = keys.reshape(-1)
-        k2 = key2.reshape(-1)
-        # salt = deterministic mix of the bucket id; the exchange groups
-        # on the SALT ONLY (a whole (band, key, key2) bucket maps to one
-        # salt), so the shuffle produces ~2 groups per CPU instead of one
-        # Ray group per bucket — per-bucket work happens vectorized
-        # inside the salt group (the _verify_jaccard co-partition trick)
-        salt = (
-            (key.view(np.uint64) * np.uint64(0x9E3779B1))
-            ^ (k2.view(np.uint64) * np.uint64(0x85EBCA77))
-            ^ band.view(np.uint64)
-        ) & np.uint64(n_salts - 1)
         return pa.table(
             {
-                "salt": pa.array(salt.view(np.int64)),
-                "band": pa.array(band),
-                "key": pa.array(key),
-                "key2": pa.array(k2),
-                "media_ref": pa.array(np.repeat(refs, NEAR_BANDS).tolist()),
+                "band": pa.array(np.tile(np.arange(NEAR_BANDS, dtype=np.int64), n)),
+                "key": pa.array(keys.reshape(-1)),
+                "key2": pa.array(key2.reshape(-1)),
+                "media_ref": batch["media_ref"].take(np.repeat(keep, NEAR_BANDS)),
                 "dhash": pa.array(np.repeat(h, NEAR_BANDS)),
             }
         )
 
-    def salt_flags(group: pd.DataFrame) -> pd.DataFrame:
-        """All buckets of one salt: sort by (bucket, media_ref), find
+    def bucket_flags(buckets: pd.DataFrame) -> pd.DataFrame:
+        """All buckets of one group: sort by (bucket, media_ref), find
         segment boundaries, then per multi-member segment compute flags
         over the UNIQUE hash values only — a row is flagged iff some
         near (hamming 1..max) VALUE has an earlier min-ref, so identical
@@ -398,7 +395,7 @@ def image_dhash_near(
         the sf0.1 reading ~5x."""
         from .dedup import _popcount32
 
-        g = group.sort_values(
+        g = buckets.sort_values(
             ["band", "key", "key2", "media_ref"], kind="stable"
         )
         band = g["band"].to_numpy(np.int64)
@@ -458,36 +455,30 @@ def image_dhash_near(
                         np.int64
                     ),
                 )
-        from .hashing import poly_hash_strings
+        return pd.DataFrame({"media_ref": refs, "dhash": h, "near_dup": flags})
 
-        # route the cross-band union through an INT salt of media_ref:
-        # Ray's sort aggregate on a string key measured 21 s of a 30 s
-        # sf0.1 run; the salted co-partition + pandas C-level groupby
-        # does the same union in ~1 s
-        rsalt = (
-            poly_hash_strings([str(r) for r in refs]).view(np.int64)
-            & np.int64(n_salts - 1)
-        )
-        return pd.DataFrame(
-            {"rsalt": rsalt, "media_ref": refs, "dhash": h,
-             "near_dup": flags}
+    def union_flags(flags: pd.DataFrame) -> pd.DataFrame:
+        return flags.groupby("media_ref", as_index=False).agg(
+            dhash=("dhash", "min"), near_dup=("near_dup", "max")
         )
 
-    def union_flags(group: pd.DataFrame) -> pd.DataFrame:
-        g = (
-            group.groupby("media_ref", as_index=False)
-            .agg(dhash=("dhash", "min"), near_dup=("near_dup", "max"))
-        )
-        return g[["media_ref", "dhash", "near_dup"]]
-
+    flags = co_partition(
+        bucket_flags,
+        buckets=(
+            hashes.map_batches(explode, batch_format="pyarrow"),
+            ["band", "key", "key2"],
+            {"band": pa.int64(), "key": pa.int64(), "key2": pa.int64(),
+             "media_ref": pa.string(), "dhash": pa.int64()},
+        ),
+    )
     # union across bands: flagged anywhere -> flagged (dhash is constant
-    # per ref, min keeps it verbatim)
-    return (
-        hashes.map_batches(explode, batch_format="pyarrow")
-        .groupby("salt")
-        .map_groups(salt_flags, batch_format="pandas")
-        .groupby("rsalt")
-        .map_groups(union_flags, batch_format="pandas")
+    # per ref, min keeps it verbatim).  A co-partition on media_ref, not
+    # Ray's sort aggregate on the string key: that measured 21 s of a
+    # 30 s sf0.1 run, the co-partition + pandas groupby ~1 s
+    return co_partition(
+        union_flags,
+        flags=(flags, "media_ref",
+               {"media_ref": pa.string(), "dhash": pa.int64(), "near_dup": pa.int64()}),
     )
 
 

@@ -37,7 +37,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from . import read
+from . import co_partition, read
 from .hashing import sql_tokens
 
 S = 1000  # fixed-point scale for k1 / b
@@ -223,7 +223,7 @@ WHERE rank <= {k}
 """
 
 
-# ------------------------------------- inverted-index construction (r5)
+# ----------------------------------------- inverted-index construction
 #
 # The index-build half of lexical search: one row per distinct corpus
 # token with its document frequency, total term frequency, a polynomial
@@ -233,8 +233,8 @@ WHERE rank <= {k}
 # trick as vocab_encode's ids_fp): the driver-visible output stays
 # vocabulary-bounded while still hash-verifying every posting.
 #
-# Scale shape: per-batch distinct (token, doc_id, tf) rows -> ONE salted
-# exchange on hash(token) (all rows of a token co-locate, so df /
+# Scale shape: per-batch distinct (token, doc_id, tf) rows -> ONE
+# co-partition on the token (all rows of a token co-locate, so df /
 # total_tf / the sorted posting fingerprint are local to the group).
 # Output is vocabulary-sized, never corpus-sized.
 
@@ -247,42 +247,31 @@ def inverted_index(sf_dir: str, sample_k: int = SAMPLE_K):
     the doc_id-ascending posting list (ids reduced mod M31), and
     ``sample_docs`` the first ``sample_k`` ids comma-joined.  Value-exact
     DuckDB twin in :func:`inverted_index_sql`."""
-    from .dedup import _auto_salts
-    from .hashing import (
-        M31,
-        poly_hash_segments,
-        poly_hash_strings,
-        tokenize_batch,
-    )
+    from .hashing import M31, poly_hash_segments, tokenize_batch
 
-    salts = _auto_salts()
     ds = read(sf_dir, "documents", columns=["doc_id", "text"])
 
     def tf_rows(batch: pa.Table) -> pa.Table:
-        texts = batch["text"].to_pylist()
-        ids = np.asarray(batch["doc_id"].to_pylist(), dtype=np.int64)
-        flat, lens = tokenize_batch(texts)
+        flat, lens = tokenize_batch(batch["text"].to_pylist())
         g = (
             pd.DataFrame(
                 {
                     "token": np.asarray(flat, dtype=object),
-                    "doc_id": np.repeat(ids, lens),
+                    "doc_id": np.repeat(batch["doc_id"].to_numpy(), lens),
                 }
             )
             .groupby(["token", "doc_id"], as_index=False)
             .size()
             .rename(columns={"size": "tf"})
         )
-        h = poly_hash_strings(g["token"].tolist()).astype(np.int64)
-        g["salt"] = (h % salts).astype(np.int32)
         g["tf"] = g["tf"].astype(np.int64)
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    def index_group(group: pd.DataFrame) -> pd.DataFrame:
+    def index_group(tf: pd.DataFrame) -> pd.DataFrame:
         # rows arrive distinct per (token, doc_id) — each doc lives in
         # exactly one batch — but a re-blocked upstream could split one;
         # the groupby close-out keeps the op correct either way
-        g = group.groupby(["token", "doc_id"], as_index=False)["tf"].sum()
+        g = tf.groupby(["token", "doc_id"], as_index=False)["tf"].sum()
         g = g.sort_values(["token", "doc_id"], kind="mergesort")
         toks = g["token"].to_numpy(object)
         ids = g["doc_id"].to_numpy(np.int64)
@@ -307,10 +296,13 @@ def inverted_index(sf_dir: str, sample_k: int = SAMPLE_K):
             }
         )
 
-    return (
-        ds.map_batches(tf_rows, batch_format="pyarrow")
-        .groupby("salt")
-        .map_groups(index_group, batch_format="pandas")
+    return co_partition(
+        index_group,
+        tf=(
+            ds.map_batches(tf_rows, batch_format="pyarrow"),
+            "token",
+            {"token": pa.string(), "doc_id": pa.int64(), "tf": pa.int64()},
+        ),
     )
 
 

@@ -14,7 +14,13 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from . import read
+from . import co_partition, read
+
+
+def _cents(col) -> np.ndarray:
+    """float column -> int64 cents, floor(x*100+0.5) (the repo-wide
+    quantize idiom, same expression as every SQL twin)."""
+    return np.floor(col.to_numpy() * 100.0 + 0.5).astype(np.int64)
 
 
 def _round2(col):
@@ -282,12 +288,10 @@ FROM events GROUP BY 1, 2
 def user_activity(sf_dir: str):
     """Per-user activity profile incl. an exact distinct count.
 
-    Round 2: pure aggregate shape — per-batch partial aggregation of
+    Pure aggregate shape — per-batch partial aggregation of
     (user_id, event_type) pairs, a small groupby-sum on that composite
     key, then a per-user roll-up where the distinct count is a plain row
-    count.  Replaces the round-1 per-user ``map_groups`` that paid a
-    Python call per user (the tiny-group overhead VERDICT r1 flagged on
-    this high-cardinality key)."""
+    count; no Python call per user on this high-cardinality key."""
     from ray.data.aggregate import Count, Sum
 
     ds = read(sf_dir, "events", columns=["user_id", "event_type", "value"])
@@ -450,8 +454,8 @@ def events_sliding_sql(window_s: int = 3600, hop_s: int = 900) -> str:
     hop_us = hop_s * 1_000_000
     # hop-grid base via FLOOR division in exact integer arithmetic
     # (e - ((e % h + h) % h)) // h: DuckDB's // truncates toward zero while
-    # the engine's numpy // floors, so the keys diverged for pre-1970
-    # timestamps (ADVICE r3); the mod-correction makes both sides floor.
+    # the engine's numpy // floors, so the keys would diverge for
+    # pre-1970 timestamps; the mod-correction makes both sides floor.
     # The later w // 1000000 stays trunc-safe: w is an exact multiple.
     return f"""
 SELECT event_type,
@@ -543,12 +547,12 @@ FROM w WHERE 100 * cum >= {pct} * n GROUP BY 1
 """
 
 
-# --------------------------------- mergeable float-quantile sketch (r5)
+# ------------------------------------- mergeable float-quantile sketch
 #
-# VERDICT r4 #6 asked for a mergeable quantile sketch over NON-integer
-# signals (KLL or fixed-point t-digest).  Neither is hash-verifiable in
-# this engine: both compact as a function of merge ORDER, and Ray's
-# block/merge order is nondeterministic — the same corpus yields
+# A mergeable quantile sketch over NON-integer signals.  KLL and
+# fixed-point t-digest are not hash-verifiable in this engine: both
+# compact as a function of merge ORDER, and Ray's block/merge order is
+# nondeterministic — the same corpus yields
 # different (equally valid) sketch states run to run, which the
 # driver's value-hash gate would flag as a mismatch.  The deterministic
 # order-independent mergeable alternative used here is a bottom-k-by-
@@ -632,7 +636,7 @@ def sketch_quantile(values: np.ndarray, pct: int) -> float:
     return float(v[min(idx, n - 1)])
 
 
-# --------------------------------------------- non-equi range join (r5)
+# ------------------------------------------------- non-equi range join
 #
 # Interval (theta) join: events priced into static value tiers — the one
 # join shape the equality-keyed coverage above can't express
@@ -659,6 +663,19 @@ VALUE_TIERS = (
 )
 
 
+def _bin_tiers(cents: np.ndarray, los: np.ndarray, his: np.ndarray):
+    """(n, sum) per tier of the half-open [lo, hi) tiers sorted by lo;
+    rows in no tier are dropped (inner-join semantics).  The sums are
+    exact int64, past 2^53 too."""
+    # searchsorted gives the candidate tier, the hi check drops gap rows
+    idx = np.searchsorted(los, cents, side="right") - 1
+    ok = (idx >= 0) & (cents < his[np.clip(idx, 0, len(his) - 1)])
+    idx, cents = idx[ok], cents[ok]
+    s = np.zeros(len(los), dtype=np.int64)
+    np.add.at(s, idx, cents)
+    return np.bincount(idx, minlength=len(los)).astype(np.int64), s
+
+
 def range_join_tiers(sf_dir: str):
     """(tier, lo_cents, hi_cents, n_events, sum_cents) per value tier:
     events inner-joined to the static tier intervals on
@@ -667,27 +684,14 @@ def range_join_tiers(sf_dir: str):
     ds = read(sf_dir, "events", columns=["value"])
     los = np.array([t[1] for t in VALUE_TIERS], dtype=np.int64)
     his = np.array([t[2] for t in VALUE_TIERS], dtype=np.int64)
-    names = [t[0] for t in VALUE_TIERS]
+    names = np.array([t[0] for t in VALUE_TIERS], dtype=object)
 
     def bin_partial(batch: pa.Table) -> pa.Table:
-        cents = np.floor(
-            np.asarray(batch["value"].to_pylist(), dtype=np.float64) * 100.0
-            + 0.5
-        ).astype(np.int64)
-        # tiers are sorted by lo; searchsorted gives the candidate tier,
-        # the hi check drops gap rows (inner-join semantics)
-        idx = np.searchsorted(los, cents, side="right") - 1
-        ok = (idx >= 0) & (cents < his[np.clip(idx, 0, len(his) - 1)])
-        idx = idx[ok]
-        cents = cents[ok]
-        n = np.bincount(idx, minlength=len(los)).astype(np.int64)
-        s = np.bincount(idx, weights=cents, minlength=len(los)).astype(
-            np.int64
-        )
+        n, s = _bin_tiers(_cents(batch["value"]), los, his)
         nz = n > 0
         return pa.table(
             {
-                "tier": pa.array(np.asarray(names, dtype=object)[nz]),
+                "tier": pa.array(names[nz]),
                 "lo_cents": pa.array(los[nz]),
                 "hi_cents": pa.array(his[nz]),
                 "n_events": pa.array(n[nz]),
@@ -730,7 +734,7 @@ GROUP BY 1, 2, 3
 """
 
 
-# ---------------------------------------------- distributed anti-join (r5)
+# -------------------------------------------------- distributed anti-join
 #
 # TPC-H Q22's shape: customers with NO order in a filtered order class
 # (here: no order with status 'P'), rolled up by market segment.  The
@@ -739,13 +743,12 @@ GROUP BY 1, 2, 3
 # right side is filtered — in this corpus every customer has SOME
 # order, so the unfiltered anti set would be empty everywhere.)
 #
-# Distributed form: both sides co-partition on hash(custkey) with ONE
-# salted union exchange (the _verify_jaccard pattern).  The orders side
-# sheds everything but a DISTINCT custkey per batch before the exchange
-# (per-batch dedup partial), so the shuffled volume is bounded by
-# distinct customers, not order count.  Each salt group then anti-sets
-# locally (np.isin) and emits per-segment partials; the close-out
-# groupby is segment-bounded (5 rows).
+# Distributed form: both sides meet in ONE co-partition on custkey.  The
+# orders side sheds everything but a DISTINCT custkey per batch before
+# the exchange (per-batch dedup partial), so the shuffled volume is
+# bounded by distinct customers, not order count.  Each group then
+# anti-sets locally (np.isin) and emits per-segment partials; the
+# close-out groupby is segment-bounded (5 rows).
 
 ANTI_STATUS = "P"
 
@@ -754,56 +757,21 @@ def customers_without_orders(sf_dir: str, status: str = ANTI_STATUS):
     """(c_mktsegment, n_customers, sum_acctbal_cents) over customers with
     no ``status``-class order.  Value-exact DuckDB twin in
     :func:`customers_without_orders_sql`."""
-    from .dedup import _auto_salts
-
-    salts = _auto_salts()
-    cust = read(
-        sf_dir,
-        "customer",
-        columns=["c_custkey", "c_mktsegment", "c_acctbal"],
-    )
-    orders = read(sf_dir, "orders", columns=["o_custkey", "o_orderstatus"])
-
     def cust_rows(batch: pa.Table) -> pa.Table:
-        k = np.asarray(batch["c_custkey"].to_pylist(), dtype=np.int64)
-        cents = np.floor(
-            np.asarray(batch["c_acctbal"].to_pylist(), dtype=np.float64)
-            * 100.0
-            + 0.5
-        ).astype(np.int64)
         return pa.table(
             {
-                "salt": pa.array((k % salts).astype(np.int32)),
-                "custkey": pa.array(k),
+                "custkey": batch["c_custkey"],
                 "segment": batch["c_mktsegment"],
-                "cents": pa.array(cents),
-                "is_cust": pa.array(np.ones(len(k), dtype=np.int8)),
+                "cents": pa.array(_cents(batch["c_acctbal"])),
             }
         )
 
-    def order_rows(batch: pa.Table) -> pa.Table:
+    def order_keys(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.equal(batch["o_orderstatus"], status))
-        k = np.unique(
-            np.asarray(batch["o_custkey"].to_pylist(), dtype=np.int64)
-        )
-        return pa.table(
-            {
-                "salt": pa.array((k % salts).astype(np.int32)),
-                "custkey": pa.array(k),
-                "segment": pa.array([""] * len(k)),
-                "cents": pa.array(np.zeros(len(k), dtype=np.int64)),
-                "is_cust": pa.array(np.zeros(len(k), dtype=np.int8)),
-            }
-        )
+        return pa.table({"custkey": pa.array(np.unique(batch["o_custkey"].to_numpy()))})
 
-    u = cust.map_batches(cust_rows, batch_format="pyarrow").union(
-        orders.map_batches(order_rows, batch_format="pyarrow")
-    )
-
-    def anti_partial(group: pd.DataFrame) -> pd.DataFrame:
-        c = group[group["is_cust"] == 1]
-        has = group.loc[group["is_cust"] == 0, "custkey"].to_numpy(np.int64)
-        lone = c[~np.isin(c["custkey"].to_numpy(np.int64), has)]
+    def anti_partial(cust: pd.DataFrame, orders: pd.DataFrame) -> pd.DataFrame:
+        lone = cust[~np.isin(cust["custkey"].to_numpy(), orders["custkey"].to_numpy())]
         g = lone.groupby("segment", as_index=False).agg(
             n_customers=("custkey", "size"), sum_acctbal_cents=("cents", "sum")
         )
@@ -820,9 +788,22 @@ def customers_without_orders(sf_dir: str, status: str = ANTI_STATUS):
             }
         )
 
+    cust = read(sf_dir, "customer", columns=["c_custkey", "c_mktsegment", "c_acctbal"])
+    orders = read(sf_dir, "orders", columns=["o_custkey", "o_orderstatus"])
     return (
-        u.groupby("salt")
-        .map_groups(anti_partial, batch_format="pandas")
+        co_partition(
+            anti_partial,
+            cust=(
+                cust.map_batches(cust_rows, batch_format="pyarrow"),
+                "custkey",
+                {"custkey": pa.int64(), "segment": pa.string(), "cents": pa.int64()},
+            ),
+            orders=(
+                orders.map_batches(order_keys, batch_format="pyarrow"),
+                "custkey",
+                {"custkey": pa.int64()},
+            ),
+        )
         .groupby("segment")
         .sum(["n_customers", "sum_acctbal_cents"])
         .map_batches(close, batch_format="pyarrow")
@@ -843,12 +824,12 @@ GROUP BY 1
 """
 
 
-# ------------------------------------------ running-total window (r5)
+# ---------------------------------------------- running-total window
 #
 # The cumulative window shape (SUM OVER PARTITION ORDER BY) none of the
 # tumbling/hopping/quantile windows above cover: each user's running
 # spend over their event stream.  Distributed form: users co-locate via
-# a user-salted exchange; inside a group one mergesort + segment cumsum
+# a co-partition on user_id; inside a group one mergesort + segment cumsum
 # handles every user vectorized (no per-user Python loop, the
 # source_budget_cap segment pattern).  Output is event-sized, exactly
 # like the SQL window it mirrors.
@@ -857,39 +838,18 @@ def user_running_total(sf_dir: str):
     """(event_id, user_id, cum_cents): per-user running total of value
     in cents, ordered by (ts, event_id).  Value-exact DuckDB twin in
     :func:`user_running_total_sql`."""
-    from .dedup import _auto_salts
-
-    salts = _auto_salts()
-    ds = read(
-        sf_dir, "events", columns=["event_id", "user_id", "ts", "value"]
-    )
-
     def key_rows(batch: pa.Table) -> pa.Table:
-        u = np.asarray(batch["user_id"].to_pylist(), dtype=np.int64)
-        cents = np.floor(
-            np.asarray(batch["value"].to_pylist(), dtype=np.float64) * 100.0
-            + 0.5
-        ).astype(np.int64)
         return pa.table(
             {
-                "salt": pa.array((u % salts).astype(np.int32)),
-                "user_id": pa.array(u),
+                "user_id": batch["user_id"],
                 "event_id": batch["event_id"],
                 "ts": batch["ts"],
-                "cents": pa.array(cents),
+                "cents": pa.array(_cents(batch["value"])),
             }
         )
 
-    def running(group: pd.DataFrame) -> pd.DataFrame:
-        if group.empty:
-            return pd.DataFrame(
-                {
-                    "event_id": pd.Series([], dtype=np.int64),
-                    "user_id": pd.Series([], dtype=np.int64),
-                    "cum_cents": pd.Series([], dtype=np.int64),
-                }
-            )
-        g = group.sort_values(
+    def running(events: pd.DataFrame) -> pd.DataFrame:
+        g = events.sort_values(
             ["user_id", "ts", "event_id"], kind="mergesort"
         )
         u = g["user_id"].to_numpy(np.int64)
@@ -911,10 +871,15 @@ def user_running_total(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(key_rows, batch_format="pyarrow")
-        .groupby("salt")
-        .map_groups(running, batch_format="pandas")
+    ds = read(sf_dir, "events", columns=["event_id", "user_id", "ts", "value"])
+    return co_partition(
+        running,
+        events=(
+            ds.map_batches(key_rows, batch_format="pyarrow"),
+            "user_id",
+            {"user_id": pa.int64(), "event_id": pa.int64(),
+             "ts": pa.timestamp("us"), "cents": pa.int64()},
+        ),
     )
 
 
@@ -928,7 +893,7 @@ FROM events
 """
 
 
-# ----------------------------------------------- pivot aggregate (r5)
+# --------------------------------------------------- pivot aggregate
 #
 # Long-to-wide reshaping: one row per hour with a COLUMN per event type
 # (the classic reporting pivot; events_hourly above is the long form).
@@ -997,7 +962,7 @@ FROM events GROUP BY 1
 """
 
 
-# --------------------------------------------- rollup subtotals (r5)
+# ------------------------------------------------- rollup subtotals
 #
 # GROUP BY ROLLUP — the grouping-sets shape: (event_type, hour) detail
 # rows PLUS per-type subtotals PLUS a grand total in one result.  At

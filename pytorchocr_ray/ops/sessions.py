@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
-from . import read
+from . import co_partition, read
 
 GAP_MINUTES = 30
 
@@ -133,7 +134,7 @@ FROM numbered GROUP BY user_id, session_idx
 """
 
 
-# -------------------------------------------- funnel analysis (r5)
+# ------------------------------------------------- funnel analysis
 #
 # Sequential pattern matching over event streams (SQL MATCH_RECOGNIZE's
 # most common real use): how far does each user get through the
@@ -141,7 +142,7 @@ FROM numbered GROUP BY user_id, session_idx
 # previous one?  The missing event-sequence shape next to sessionize
 # (gaps) and asof (latest-before).
 #
-# Distributed form: one user-salted exchange co-locates each user's
+# Distributed form: one co-partition on user_id co-locates each user's
 # events; inside a group ONE mergesort orders every user's stream and a
 # per-step vectorized scan (segment-first 'view', then searchsorted for
 # the first later 'click', then 'purchase') resolves all users at once.
@@ -156,34 +157,11 @@ def funnel_steps(sf_dir: str):
     'click' after it, first 'purchase' after that, per user; ``reached``
     counts completed steps (0..3), missing steps are -1.  Value-exact
     DuckDB twin in :func:`funnel_steps_sql`."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
 
-    from . import read
-    from .dedup import _auto_salts
-
-    salts = _auto_salts()
-    ds = read(sf_dir, "events", columns=["user_id", "ts", "event_type"])
-
-    def key_rows(batch: pa.Table) -> pa.Table:
-        u = np.asarray(batch["user_id"].to_pylist(), dtype=np.int64)
-        # any Arrow timestamp unit -> int64 microseconds (the twin's
-        # epoch_us); a finer unit with sub-microsecond digits raises
-        ts = batch["ts"].cast(pa.timestamp("us")).cast(pa.int64())
-        return pa.table(
-            {
-                "salt": pa.array((u % salts).astype(np.int32)),
-                "user_id": pa.array(u),
-                "ts_us": ts,
-                "event_type": batch["event_type"],
-            }
-        )
-
-    def per_user(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["user_id", "ts_us"], kind="mergesort")
+    def per_user(events: pd.DataFrame) -> pd.DataFrame:
+        g = events.sort_values(["user_id", "ts"], kind="mergesort")
         u = g["user_id"].to_numpy(np.int64)
-        ts = g["ts_us"].to_numpy(np.int64)
+        ts = g["ts"].to_numpy("datetime64[us]").view(np.int64)
         et = g["event_type"].to_numpy(object)
         new = np.ones(len(u), dtype=bool)
         new[1:] = u[1:] != u[:-1]
@@ -216,10 +194,15 @@ def funnel_steps(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(key_rows, batch_format="pyarrow")
-        .groupby("salt")
-        .map_groups(per_user, batch_format="pandas")
+    # any Arrow timestamp unit is cast to microseconds (the twin's
+    # epoch_us); a finer unit with sub-microsecond digits raises
+    return co_partition(
+        per_user,
+        events=(
+            read(sf_dir, "events", columns=["user_id", "ts", "event_type"]),
+            "user_id",
+            {"user_id": pa.int64(), "ts": pa.timestamp("us"), "event_type": pa.string()},
+        ),
     )
 
 

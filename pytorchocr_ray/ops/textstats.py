@@ -13,7 +13,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.text_norm import NORMALIZE_SQL, normalize_column
-from . import read
+from . import co_partition, read
 
 TOKEN_RE = "[A-Za-z0-9]+"
 
@@ -362,7 +362,7 @@ FROM s, t WHERE s.n_tokens >= t.thr
 """
 
 
-# -------------------------------------- distinct-count sketch (HLL, r4)
+# ------------------------------------------ distinct-count sketch (HLL)
 #
 # Cardinality estimation without the exact-distinct shuffle: a
 # HyperLogLog register table over the corpus's token hashes.  The whole
@@ -453,7 +453,7 @@ def hll_estimate(registers: dict[int, int], m: int = HLL_BUCKETS) -> float:
     return est
 
 
-# ------------------------------------- frequency sketch (Count-Min, r4)
+# ----------------------------------------- frequency sketch (Count-Min)
 #
 # Approximate per-token frequencies in FIXED memory: d independent hash
 # rows x w counters, each counter a sum — and sums, like HLL's max, are
@@ -545,22 +545,20 @@ def countmin_estimate(table: pd.DataFrame, token: str, w: int = CM_WIDTH) -> int
     )
 
 
-# ------------------------------------ TF-IDF keyword extraction (r4)
+# ---------------------------------------- TF-IDF keyword extraction
 #
 # Per-document top terms by TF-IDF — the keyword-extraction /
 # doc-representation primitive.  The IDF uses an INTEGER surrogate,
 # idf_q = (N * 1000) // df (monotone in ln(N/df)), because a float ln
 # would make the oracle comparison hinge on libm last-ulp agreement;
 # with the surrogate every score is an exact int64 and the DuckDB twin
-# is value-exact.  Shape (r5 — fully distributed, VERDICT r4 #1): the
-# per-batch (doc, token, tf) explode is shuffle-free (a doc lives in
-# one batch, so the pairs are globally distinct), then ONE salted
-# token-keyed exchange: because df is a pure function of the token
-# group and every row of a token lands in the same salt group, each
-# group counts its own tokens' df AND scores its rows locally — the
-# vocabulary never materializes on the driver (the former df-dict
-# `ray.put` broadcast was the last whole-vocabulary driver
-# materialization in the engine).  Per-doc top-k closes it out.
+# is value-exact.  Shape: the per-batch (doc, token, tf) explode is
+# shuffle-free (a doc lives in one batch, so the pairs are globally
+# distinct), then ONE co-partition on the token: because df is a pure
+# function of the token group and every row of a token lands in the
+# same group, each group counts its own tokens' df AND scores its rows
+# locally — the vocabulary never materializes on the driver.  A second
+# co-partition on doc_id closes out the per-doc top-k.
 
 IDF_SCALE = 1000
 
@@ -569,56 +567,53 @@ def tfidf_top_terms(sf_dir: str, k: int = 3):
     """(doc_id, token, score, rank): each document's top-k tokens by
     tf * ((N * {IDF_SCALE}) // df), rank by (score DESC, token ASC).
     Exact twin in :func:`tfidf_top_terms_sql`."""
-    from .dedup import _auto_salts
-    from .hashing import poly_hash_strings
-
     ds = read(sf_dir, "documents", columns=["doc_id", "text"])
-    salts = _auto_salts()
 
     def tf_rows(batch: pa.Table) -> pa.Table:
         toks = pc.split_pattern_regex(batch["text"], "[^A-Za-z0-9]+")
         lens = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
-        ids = np.repeat(
-            np.asarray(batch["doc_id"].to_pylist(), dtype=np.int64), lens
-        )
+        ids = np.repeat(batch["doc_id"].to_numpy(), lens)
         flat = pc.list_flatten(toks).to_pandas()
         df = pd.DataFrame({"doc_id": ids, "token": flat})
         df = df[df["token"] != ""]
         g = df.groupby(["doc_id", "token"], as_index=False).size()
         g = g.rename(columns={"size": "tf"})
         g["tf"] = g["tf"].astype(np.int64)
-        # token-hash salt: all rows of a token co-locate in one group
-        h = poly_hash_strings(g["token"].tolist()).astype(np.int64)
-        g["salt"] = (h % salts).astype(np.int32)
         return pa.Table.from_pandas(g, preserve_index=False)
 
     n_docs = read(sf_dir, "documents", columns=["doc_id"]).count()
 
-    def score_group(group: pd.DataFrame) -> pd.DataFrame:
+    def score(tf: pd.DataFrame) -> pd.DataFrame:
         # rows are distinct (doc_id, token) pairs, so df == rows-per-token
-        df = group.groupby("token")["doc_id"].transform("size").to_numpy(
+        df = tf.groupby("token")["doc_id"].transform("size").to_numpy(
             np.int64
         )
-        out = group[["doc_id", "token"]].copy()
-        out["score"] = group["tf"].to_numpy(np.int64) * (
+        out = tf[["doc_id", "token"]].copy()
+        out["score"] = tf["tf"].to_numpy(np.int64) * (
             (n_docs * IDF_SCALE) // df
         )
         return out
 
-    def topk(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(
-            ["score", "token"], ascending=[False, True]
-        ).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
+    def topk(scores: pd.DataFrame) -> pd.DataFrame:
+        g = scores.sort_values(
+            ["doc_id", "score", "token"], ascending=[True, False, True]
+        )
+        g = g.groupby("doc_id", sort=False).head(k).reset_index(drop=True)
+        g["rank"] = g.groupby("doc_id", sort=False).cumcount().astype(np.int64) + 1
         return g[["doc_id", "token", "score", "rank"]]
 
-    return (
-        ds.map_batches(tf_rows, batch_format="pyarrow")
-        .groupby("salt")
-        .map_groups(score_group, batch_format="pandas")
-        .groupby("doc_id")
-        .map_groups(topk, batch_format="pandas")
+    scores = co_partition(
+        score,
+        tf=(
+            ds.map_batches(tf_rows, batch_format="pyarrow"),
+            "token",
+            {"doc_id": pa.int64(), "token": pa.string(), "tf": pa.int64()},
+        ),
+    )
+    return co_partition(
+        topk,
+        scores=(scores, "doc_id",
+                {"doc_id": pa.int64(), "token": pa.string(), "score": pa.int64()}),
     )
 
 
@@ -664,8 +659,7 @@ def vocab_encode(sf_dir: str, k: int = VOCAB_K):
     Scale shape: pass 1 pre-aggregates token counts per block, one
     vocabulary-bounded groupby sums them, and a sort+limit keeps only K
     rows — the driver materializes exactly K (token, id) pairs, never
-    the vocabulary (contrast the r4 tfidf df-map this engine already
-    replaced); the broadcast dict is O(K).  Pass 2 is one shuffle-free
+    the vocabulary; the broadcast dict is O(K).  Pass 2 is one shuffle-free
     vectorized encode (pandas C-level dict gather + segment Horner).
     """
     import ray

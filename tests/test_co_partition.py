@@ -1,0 +1,123 @@
+"""ops.co_partition: the one keyed exchange every ops/ close-out goes through."""
+
+import uuid
+
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pytest
+
+BIG = 1 << 62
+
+
+def _blocks(table: pa.Table, n: int):
+    import ray.data as rd
+
+    step = -(-table.num_rows // n)
+    return rd.from_arrow([table.slice(i, step) for i in range(0, table.num_rows, step)])
+
+
+def _sides():
+    keys = np.arange(200, dtype=np.int64)
+    left = pa.table({"k": keys, "x": keys + BIG, "extra": keys.astype(str)})
+    # the right side holds 3 keys only, so most groups have no right rows
+    right = pa.table({"k": pa.array([3, 5, 5, 150], pa.int64()),
+                      "s": ["p", "q", "r", "t"]})
+    return _blocks(left, 4), _blocks(right, 2)
+
+
+def test_salt_count_tracks_cluster():
+    """The group count derives from cluster CPUs the way auto_planes
+    derives from corpus size; power of two, clamped."""
+    from pytorchocr_ray.ops import salt_count
+
+    assert salt_count(8) == 16
+    assert salt_count(32) == 64
+    assert salt_count(256) == 512
+    assert salt_count(100000) == 1024  # upper clamp
+    assert salt_count(1) == 16  # lower clamp
+    for c in (8, 32, 256):
+        s = salt_count(c)
+        assert s & (s - 1) == 0  # so x % s == x & (s-1)
+
+
+def test_absent_side_gets_typed_empty_frame(ray_session):
+    from pytorchocr_ray.ops import co_partition
+
+    left, right = _sides()
+
+    def fn(left: pd.DataFrame, right: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({
+            "n_left": [len(left)], "n_right": [len(right)],
+            "left_cols": [",".join(f"{c}:{t}" for c, t in left.dtypes.items())],
+            "right_cols": [",".join(f"{c}:{t}" for c, t in right.dtypes.items())],
+        })
+
+    out = co_partition(
+        fn,
+        left=(left, "k", {"k": pa.int64(), "x": pa.int64()}),
+        right=(right, "k", {"k": pa.int64(), "s": pa.string()}),
+    ).to_pandas()
+    assert out["n_left"].sum() == 200 and out["n_right"].sum() == 4
+    assert (out["n_right"] == 0).any()  # some groups hold no right rows
+    assert set(out["left_cols"]) == {"k:int64,x:int64"}
+    assert set(out["right_cols"]) == {"k:int64,s:object"}
+
+
+def test_int64_payload_exact_and_each_key_in_one_call(ray_session):
+    from pytorchocr_ray.ops import co_partition
+
+    left, right = _sides()
+
+    def fn(left: pd.DataFrame, right: pd.DataFrame) -> pa.Table:
+        call = uuid.uuid4().hex
+        k = np.concatenate([left["k"].to_numpy(), right["k"].to_numpy()])
+        x = np.concatenate([left["x"].to_numpy(), np.full(len(right), -1, np.int64)])
+        return pa.table({"k": k, "x": x, "call": [call] * len(k)})
+
+    out = co_partition(
+        fn,
+        left=(left, "k", {"k": pa.int64(), "x": pa.int64()}),
+        right=(right, "k", {"k": pa.int64(), "s": pa.string()}),
+    ).to_pandas()
+    assert len(out) == 204
+    assert out["call"].nunique() > 1  # many groups, not one
+    assert (out.groupby("k")["call"].nunique() == 1).all()
+    lx = out[out["x"] >= 0].sort_values("k")
+    assert lx["x"].tolist() == [BIG + k for k in range(200)]
+
+
+def test_string_and_composite_keys(ray_session):
+    import ray.data as rd
+
+    from pytorchocr_ray.ops import co_partition
+
+    words = [f"w{i % 37}" for i in range(300)]
+    ds = rd.from_arrow(pa.table({"w": words, "b": pa.array(np.arange(300) % 3, pa.int64())}))
+
+    def by_word(words: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"w": words["w"].unique(), "call": uuid.uuid4().hex})
+
+    out = co_partition(by_word, words=(ds, "w", {"w": pa.string()})).to_pandas()
+    assert sorted(out["w"]) == sorted(set(words))  # each word in one call
+
+    def by_pair(words: pd.DataFrame) -> pd.DataFrame:
+        return words.groupby(["b", "w"], as_index=False).size()
+
+    out = co_partition(by_pair, words=(ds, ["b", "w"], {"b": pa.int64(), "w": pa.string()})).to_pandas()
+    assert not out.duplicated(["b", "w"]).any()
+    assert out["size"].sum() == 300
+
+
+@pytest.mark.parametrize("as_arrow", [False, True])
+def test_fn_may_return_pandas_or_arrow(ray_session, as_arrow):
+    from pytorchocr_ray.ops import co_partition
+
+    left, _right = _sides()
+
+    def fn(left: pd.DataFrame):
+        out = pd.DataFrame({"k": left["k"].to_numpy(), "x2": left["x"].to_numpy() - BIG})
+        return pa.Table.from_pandas(out, preserve_index=False) if as_arrow else out
+
+    out = co_partition(fn, left=(left, "k", {"k": pa.int64(), "x": pa.int64()})).to_pandas()
+    assert sorted(out["x2"]) == list(range(200))

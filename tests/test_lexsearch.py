@@ -225,6 +225,22 @@ def test_range_join_tiers_parity(ray_session):
     assert set(e["tier"]) <= {t[0] for t in VALUE_TIERS}
 
 
+def test_range_join_tier_sums_exact_past_2_53():
+    """Per-batch tier sums are exact int64: a float64 accumulator rounds
+    2^53 + 1 + 1 back to 2^53."""
+    from pytorchocr_ray.ops.relational import _bin_tiers
+
+    big = 1 << 53
+    los = np.array([0, 20], dtype=np.int64)
+    his = np.array([10, 1 << 62], dtype=np.int64)
+    cents = np.array([big, 1, 1, 15, 5], dtype=np.int64)  # 15 is in the gap
+    n, s = _bin_tiers(cents, los, his)
+    assert n.tolist() == [3, 1]
+    assert s.tolist() == [7, big]
+    n, s = _bin_tiers(np.array([big, 21, 21], dtype=np.int64), los, his)
+    assert s.tolist() == [0, big + 42]
+
+
 def test_customers_without_orders_parity(ray_session):
     """Distributed anti-join (Q22 shape) vs NOT EXISTS, on real testdata
     where the filtered anti set is provably non-empty."""
@@ -305,6 +321,32 @@ def test_events_pivot_parity(ray_session):
     assert (e["n_other"] == 0).all()
     n_total = c.sql("SELECT count(*) FROM events").fetchone()[0]
     assert int(e[[f"n_{t}" for t in EVENT_TYPES]].to_numpy().sum()) == n_total
+
+
+def test_bpe_fixture_keyed_on_content(tmp_path):
+    """A corpus rewritten with the same size and mtime but different
+    text must not reuse the cached reference fixture."""
+    from pytorchocr_ray.ops.bpe import _fixture_dir, bpe_reference
+
+    path = tmp_path / "documents.parquet"
+
+    def write(texts):
+        pq.write_table(
+            pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()), "text": texts}),
+            path, compression="none", use_dictionary=False, write_statistics=False,
+        )
+
+    write(["aa ab aa ab", "ab ab ba"])
+    st = os.stat(path)
+    d1 = _fixture_dir(str(tmp_path), 2, 16)
+    write(["ba ba ab ba", "aa aa ab"])
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+    assert os.path.getsize(path) == st.st_size
+    assert os.stat(path).st_mtime_ns == st.st_mtime_ns
+    d2 = _fixture_dir(str(tmp_path), 2, 16)
+    assert d1 != d2
+    merges = pq.read_table(os.path.join(d2, "merges.parquet")).to_pylist()
+    assert merges == bpe_reference(str(tmp_path), 2, 16)[0]
 
 
 def test_bpe_merges_and_encode_parity(ray_session):

@@ -35,7 +35,7 @@ def _media_batch(ref: str) -> pa.Table:
 
 
 @pytest.mark.parametrize("use_cls", [False, True])
-def test_split_plan_applies_tps(use_cls):
+def test_ocr_stage_applies_tps(use_cls):
     """use_tps must reach the stage's crops: a curved word reads as
     written, with or without the 0/180 classifier."""
     from test_tps import _render_curved_word

@@ -359,21 +359,6 @@ def test_trained_centroids_deterministic_and_cached():
     assert c.shape[0] == 16 and c.dtype == np.int64
 
 
-def test_auto_salts_tracks_cluster():
-    """r4 (VERDICT #6): shuffle-group count derives from cluster CPUs the
-    way auto_planes derives from corpus size; power of two, clamped."""
-    from pytorchocr_ray.ops.dedup import _auto_salts
-
-    assert _auto_salts(8) == 16
-    assert _auto_salts(32) == 64
-    assert _auto_salts(256) == 512
-    assert _auto_salts(100000) == 1024  # upper clamp
-    assert _auto_salts(1) == 16  # lower clamp
-    for c in (8, 32, 256):
-        s = _auto_salts(c)
-        assert s & (s - 1) == 0  # so x % s == x & (s-1)
-
-
 @pytest.mark.parametrize(
     "sf_dir", ["/root/testdata/sf0.001", "/root/testdata/sf0.01"]
 )
