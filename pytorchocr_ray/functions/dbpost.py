@@ -6,9 +6,10 @@ Reimplements the semantics of the reference's ``DBPostProcess`` /
 cv2/pyclipper:
 
   1. ``segmentation = prob_map > thresh`` (default 0.3),
-  2. connected components (8-connectivity, run-based union-find) stand in for
-     ``cv2.findContours``; components are visited in (first_row, first_col)
-     discovery order, capped at ``max_candidates`` (1000),
+  2. connected components (8-connectivity, labelled in numpy over the row-run
+     graph) stand in for ``cv2.findContours``; components are visited in
+     (first_row, first_col) discovery order, capped at ``max_candidates``
+     (1000),
   3. per component: :func:`geometry.get_mini_boxes` -> drop if
      ``sside < min_size`` (3); score = mean prob inside the filled mini-box
      (score_mode="box", db_postprocess.py:178-194) -> drop if
@@ -131,92 +132,72 @@ def _resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 def connected_components(
     mask: np.ndarray, with_runs: bool = False
 ) -> list[np.ndarray] | list[tuple[np.ndarray, np.ndarray]]:
-    """8-connected components of a boolean mask via run-based union-find.
+    """8-connected components of a boolean mask, labelled over its row-runs.
 
     Returns one (N, 2) float64 array of (x, y) *run-endpoint* points per
-    component (leftmost + rightmost pixel of every row-run — the component's
-    convex hull support set, all min_area_rect needs), ordered by the
-    component's first (row, col) appearance.  With ``with_runs`` each entry
-    is ``(points, runs)`` where runs is (R, 3) int32 rows ``(y, start,
-    end_exclusive)`` — the exact pixel support score_mode='poly' averages
-    over.
+    component (leftmost + rightmost pixel of every row-run, in row-major run
+    order — the component's convex hull support set, all min_area_rect
+    needs), ordered by the component's first (row, col) appearance.  With
+    ``with_runs`` each entry is ``(points, runs)`` where runs is (R, 3) int32
+    rows ``(y, start, end_exclusive)`` — the exact pixel support
+    score_mode='poly' averages over.
+
+    Runs come from one pass over the flattened row diffs.  A run touches the
+    runs of the previous row whose span reaches within one column of it
+    (8-connectivity); two ``searchsorted`` calls over the run keys
+    ``row * (w + 1) + col`` find that contiguous range for every run.  Labels
+    are the minimum run id of each component, by min-label propagation with
+    pointer jumping over those edges, so sorting them gives discovery order.
     """
     h, w = mask.shape
-    parent: list[int] = []
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            if ra < rb:
-                parent[rb] = ra
-            else:
-                parent[ra] = rb
-
-    # extract ALL runs in one vectorized pass (per-row flatnonzero calls
-    # cost ~40us of numpy dispatch each and dominated the profile)
-    padded = np.zeros((h, w + 2), dtype=np.int8)
-    padded[:, 1:-1] = mask.astype(np.int8)
-    diffs = np.diff(padded, axis=1)
-    srow, scol = np.nonzero(diffs == 1)
-    _erow, ecol = np.nonzero(diffs == -1)  # aligned with starts row-by-row
-    row_bounds = np.searchsorted(srow, np.arange(h + 1))
-
-    runs_by_row: list[list[tuple[int, int, int]]] = []
-    for y in range(h):
-        lo, hi = row_bounds[y], row_bounds[y + 1]
-        starts = scol[lo:hi]
-        ends = ecol[lo:hi]
-        row_runs = []
-        prev = runs_by_row[y - 1] if y > 0 else []
-        pi = 0
-        for s, e in zip(starts.tolist(), ends.tolist()):
-            rid = len(parent)
-            parent.append(rid)
-            row_runs.append((int(s), int(e), rid))
-            # merge with overlapping runs in the previous row (8-conn: +/-1)
-            while pi > 0 and prev[pi - 1][1] >= s:  # step back if needed
-                pi -= 1
-            j = pi
-            while j < len(prev):
-                ps, pe, prid = prev[j]
-                if ps > e:  # strictly beyond (8-conn touch is ps <= e)
-                    break
-                if pe >= s:  # overlap or diagonal touch
-                    union(rid, prid)
-                j += 1
-            pi = max(0, j - 1)
-        runs_by_row.append(row_runs)
-
-    if not parent:
+    padded = np.zeros((h, w + 2), dtype=bool)
+    padded[:, 1:-1] = mask
+    # each row starts and ends outside a run, so flips alternate start, end
+    flips = np.flatnonzero(padded[:, 1:] != padded[:, :-1])
+    if flips.size == 0:
         return []
+    start_key, end_key = flips[0::2], flips[1::2]
+    stride = w + 1
+    row = start_key // stride
+    start = start_key - row * stride
+    end = end_key - row * stride
 
-    # gather run-endpoint points per root, keep discovery (row, col) order
-    comp_points: dict[int, list[tuple[float, float]]] = {}
-    comp_runs: dict[int, list[tuple[int, int, int]]] = {}
-    comp_order: list[int] = []
-    for y in range(h):
-        for s, e, rid in runs_by_row[y]:
-            root = find(rid)
-            if root not in comp_points:
-                comp_points[root] = []
-                comp_runs[root] = []
-                comp_order.append(root)
-            comp_points[root].append((float(s), float(y)))
-            comp_points[root].append((float(e - 1), float(y)))
-            if with_runs:
-                comp_runs[root].append((y, s, e))
-    if with_runs:
-        return [
-            (np.array(comp_points[r]), np.array(comp_runs[r], dtype=np.int32))
-            for r in comp_order
-        ]
-    return [np.array(comp_points[r]) for r in comp_order]
+    # runs of row y-1 overlapping run (y, s, e) within one column: the
+    # previous row's runs with end >= s and start <= e, a contiguous range
+    lo = np.searchsorted(end_key, start_key - stride, side="left")
+    hi = np.searchsorted(start_key, end_key - stride, side="right")
+    n_adj = np.maximum(hi - lo, 0)
+    src = np.repeat(np.arange(row.size), n_adj)
+    # run i's edges go to lo[i], lo[i] + 1, ..., hi[i] - 1
+    dst = np.arange(n_adj.sum()) - np.repeat(np.cumsum(n_adj) - n_adj - lo, n_adj)
+
+    label = np.arange(row.size)
+    while True:
+        # hook the larger root of every edge onto the smaller, then jump
+        # pointers until every run points at its root
+        ra, rb = label[src], label[dst]
+        differ = ra != rb
+        if not differ.any():
+            break
+        np.minimum.at(label, np.maximum(ra, rb)[differ], np.minimum(ra, rb)[differ])
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+
+    order = np.argsort(label, kind="stable")
+    cuts = np.flatnonzero(np.diff(label[order])) + 1
+    ys = row[order].astype(np.float64)
+    points = np.empty((order.size, 2, 2))
+    points[:, 0, 0] = start[order]
+    points[:, 1, 0] = end[order] - 1
+    points[:, :, 1] = ys[:, None]
+    comps = np.split(points.reshape(-1, 2), cuts * 2)
+    if not with_runs:
+        return comps
+    runs = np.stack([row, start, end], axis=1).astype(np.int32)[order]
+    return list(zip(comps, np.split(runs, cuts)))
 
 
 def _box_score(prob_map: np.ndarray, box: np.ndarray, activate=None) -> float:

@@ -44,13 +44,22 @@ def order_points_clockwise(pts: np.ndarray) -> np.ndarray:
 def convex_hull(points: np.ndarray) -> np.ndarray:
     """Andrew's monotone chain. points (N,2) -> hull (M,2).
 
-    Scalar-float inner loop on purpose: per-point numpy calls (np.cross &
-    friends) cost ~40us of dispatch each and dominated the det post-process
-    profile; plain tuples are ~20x faster at these sizes (N ~ 100-500).
+    Only the leftmost and the rightmost point of a row ``y`` can be a hull
+    corner, so numpy cuts the points to those, sorted by (x, y) and
+    deduplicated.  The chain then runs over Python floats: per-point numpy
+    calls would cost more than the arithmetic.
     """
-    pts = sorted({(float(x), float(y)) for x, y in np.asarray(points)})
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    if len(pts) == 0:
+        return np.empty(0)
+    pts = pts[np.lexsort((pts[:, 0], pts[:, 1]))]
+    new_row = pts[1:, 1] != pts[:-1, 1]
+    pts = pts[np.append(True, new_row) | np.append(new_row, True)]
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    pts = pts[np.append(True, (pts[1:] != pts[:-1]).any(axis=1))]
     if len(pts) <= 2:
-        return np.asarray(pts, dtype=np.float64)
+        return pts
+    pts = pts.tolist()
 
     def half(seq):
         out = []

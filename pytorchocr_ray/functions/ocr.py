@@ -36,8 +36,8 @@ class OcrConfig:
     # but its shipped det configs score boxes) — both paths are exact here
     use_dilation: bool = False
     score_mode: str = "box"  # "box" | "poly"
-    # TPS spatial transformer ahead of recognition (round 3 wires it into
-    # the rec path; reference configs/rec/rec_vgg_tps_bilstm_ctc.yml:27-30).
+    # TPS spatial transformer ahead of recognition, on the rec path
+    # (reference configs/rec/rec_vgg_tps_bilstm_ctc.yml:27-30).
     # Curvature-gated: identity on straight crops, full TPS on curved ones
     # (functions/tps.py:tps_rectify_curved)
     use_tps: bool = False

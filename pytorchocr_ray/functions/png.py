@@ -6,7 +6,10 @@ holds PNGs produced by this encoder; the decode stage mirrors the reference's
 dropped and counted; cf. reference pytocr/data/imaug/operators.py:9-38).
 
 Encoder always writes filter type 0; the decoder honors all five standard
-filters so externally produced grayscale PNGs also decode.
+filters so externally produced grayscale PNGs also decode. Decoding rejects
+an empty image or one over ``_MAX_PIXELS``, inflates no more than the IHDR
+size implies, and undoes the filters in numpy; Average and Paeth, which need
+the pixel to the left, go per pixel over Python ints.
 """
 
 from __future__ import annotations
@@ -17,6 +20,11 @@ import zlib
 import numpy as np
 
 _SIG = b"\x89PNG\r\n\x1a\n"
+
+# Largest image decode_gray accepts, as OpenCV's imdecode (2**30 pixels).
+# The IHDR is the sender's, so this bounds what a hostile PNG can make a
+# decoder inflate: up to this size, a payload inflates as far as its IHDR.
+_MAX_PIXELS = 1 << 30
 
 
 def _chunk(tag: bytes, payload: bytes) -> bytes:
@@ -44,47 +52,62 @@ def encode_gray(img: np.ndarray) -> bytes:
     )
 
 
-def _unfilter(raw: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Undo PNG row filters for bpp=1 (grayscale)."""
-    stride = w + 1
-    rows = raw.reshape(h, stride)
-    out = np.zeros((h, w), dtype=np.uint8)
-    for y in range(h):
-        ftype = rows[y, 0]
-        line = rows[y, 1:].astype(np.int32)
-        prev = out[y - 1].astype(np.int32) if y > 0 else np.zeros(w, np.int32)
-        if ftype == 0:
-            out[y] = line.astype(np.uint8)
-        elif ftype == 2:  # Up
-            out[y] = ((line + prev) & 0xFF).astype(np.uint8)
-        elif ftype == 1:  # Sub (sequential in-row)
-            acc = 0
-            cur = np.empty(w, np.uint8)
-            for x in range(w):
-                acc = (line[x] + acc) & 0xFF
-                cur[x] = acc
-            out[y] = cur
-        elif ftype == 3:  # Average
-            cur = np.empty(w, np.uint8)
-            left = 0
-            for x in range(w):
-                left_v = left if x > 0 else 0
-                cur[x] = (line[x] + ((left_v + prev[x]) >> 1)) & 0xFF
-                left = cur[x]
-            out[y] = cur
-        elif ftype == 4:  # Paeth
-            cur = np.empty(w, np.uint8)
-            for x in range(w):
-                a = int(cur[x - 1]) if x > 0 else 0
-                b = int(prev[x])
-                c = int(prev[x - 1]) if (x > 0 and y > 0) else 0
-                p = a + b - c
-                pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-                pred = a if (pa <= pb and pa <= pc) else (b if pb <= pc else c)
-                cur[x] = (line[x] + pred) & 0xFF
-            out[y] = cur
+def _average_row(line: bytes, prev: bytes) -> bytearray:
+    cur = bytearray()
+    append = cur.append
+    a = 0
+    for x, b in zip(line, prev):
+        a = (x + ((a + b) >> 1)) & 255
+        append(a)
+    return cur
+
+
+def _paeth_row(line: bytes, prev: bytes) -> bytearray:
+    cur = bytearray()
+    append = cur.append
+    a = c = 0
+    for x, b in zip(line, prev):
+        pa = abs(b - c)
+        pb = abs(a - c)
+        pc = abs(a + b - c - c)
+        if pa <= pb and pa <= pc:
+            a = (x + a) & 255
+        elif pb <= pc:
+            a = (x + b) & 255
         else:
-            raise ValueError(f"bad filter {ftype}")
+            a = (x + c) & 255
+        append(a)
+        c = b
+    return cur
+
+
+def _unfilter(raw: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Undo PNG row filters for bpp=1 (grayscale), one run of rows with the
+    same filter at a time.
+
+    Filter 0 is a copy; Sub and Up are cumulative sums mod 256 along each row
+    and down the run.  Average and Paeth depend on the pixel to the left, so
+    they go row by row, per pixel over Python ints.
+    """
+    rows = raw.reshape(h, w + 1)
+    ftypes = rows[:, 0]
+    if ftypes.max(initial=0) > 4:
+        raise ValueError(f"bad filter {ftypes.max()}")
+    out = rows[:, 1:].copy()
+    cuts = (np.flatnonzero(ftypes[1:] != ftypes[:-1]) + 1).tolist()
+    for y0, y1 in zip([0] + cuts, cuts + [h]):
+        ftype = ftypes[y0]
+        prev = out[y0 - 1] if y0 > 0 else np.zeros(w, np.uint8)
+        run = out[y0:y1]
+        if ftype == 1:  # Sub
+            run[:] = np.cumsum(run, axis=1, dtype=np.uint64).astype(np.uint8)
+        elif ftype == 2:  # Up
+            run[:] = (np.cumsum(run, axis=0, dtype=np.uint64) + prev).astype(np.uint8)
+        elif ftype > 2:
+            row_fn = _average_row if ftype == 3 else _paeth_row
+            for y in range(y0, y1):
+                out[y] = np.frombuffer(row_fn(out[y].tobytes(), prev.tobytes()), np.uint8)
+                prev = out[y]
     return out
 
 
@@ -109,11 +132,15 @@ def decode_gray(data: bytes) -> np.ndarray | None:
                 idat.append(payload)
             elif tag == b"IEND":
                 break
-        if w is None or not idat:
+        if w is None or not idat or not 0 < w * h <= _MAX_PIXELS:
             return None
-        raw = np.frombuffer(zlib.decompress(b"".join(idat)), dtype=np.uint8)
-        if raw.size != h * (w + 1):
+        # inflate at most one byte past the expected size, so a payload that
+        # expands far beyond its IHDR is rejected without being inflated
+        size = h * (w + 1)
+        inflater = zlib.decompressobj()
+        raw = inflater.decompress(b"".join(idat), size + 1)
+        if len(raw) != size or not inflater.eof:
             return None
-        return _unfilter(raw, h, w)
+        return _unfilter(np.frombuffer(raw, dtype=np.uint8), h, w)
     except Exception:
         return None
