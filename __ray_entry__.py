@@ -72,11 +72,10 @@ def _video_parquet(sf_dir: str) -> str:
 def _audio_features(sf_dir: str) -> Any:
     import ray.data as rd
 
-    from pytorchocr_ray.ops import pool_size
     from pytorchocr_ray.stages.multimodal import audio_features
 
     ds = rd.read_parquet(_audio_parquet(sf_dir), override_num_blocks=8)
-    return audio_features(ds, concurrency=pool_size())
+    return audio_features(ds)
 
 
 def _real_audio_dir(sf_dir: str) -> str:
@@ -106,14 +105,13 @@ def _audio_features_mulaw(sf_dir: str) -> Any:
 
     import ray.data as rd
 
-    from pytorchocr_ray.ops import pool_size
     from pytorchocr_ray.stages.multimodal import audio_features, real_audio_decode
 
     ds = rd.read_parquet(
         os.path.join(_mulaw_audio_dir(sf_dir), "payload.parquet"),
         override_num_blocks=8,
     )
-    return audio_features(ds, concurrency=pool_size(), decoder=real_audio_decode)
+    return audio_features(ds, decoder=real_audio_decode)
 
 
 def _audio_features_adpcm(sf_dir: str) -> Any:
@@ -125,14 +123,13 @@ def _audio_features_adpcm(sf_dir: str) -> Any:
 
     import ray.data as rd
 
-    from pytorchocr_ray.ops import pool_size
     from pytorchocr_ray.stages.multimodal import audio_features, real_audio_decode
 
     ds = rd.read_parquet(
         os.path.join(_adpcm_audio_dir(sf_dir), "payload.parquet"),
         override_num_blocks=8,
     )
-    return audio_features(ds, concurrency=pool_size(), decoder=real_audio_decode)
+    return audio_features(ds, decoder=real_audio_decode)
 
 
 def _real_video_dir(sf_dir: str) -> str:
@@ -147,14 +144,13 @@ def _audio_features_real(sf_dir: str) -> Any:
 
     import ray.data as rd
 
-    from pytorchocr_ray.ops import pool_size
     from pytorchocr_ray.stages.multimodal import audio_features, real_audio_decode
 
     ds = rd.read_parquet(
         os.path.join(_real_audio_dir(sf_dir), "payload.parquet"),
         override_num_blocks=8,
     )
-    return audio_features(ds, concurrency=pool_size(), decoder=real_audio_decode)
+    return audio_features(ds, decoder=real_audio_decode)
 
 
 def _video_frames_real(sf_dir: str) -> Any:
@@ -163,7 +159,6 @@ def _video_frames_real(sf_dir: str) -> Any:
 
     import ray.data as rd
 
-    from pytorchocr_ray.ops import pool_size
     from pytorchocr_ray.stages.multimodal import (
         real_video_decode,
         video_frame_samples,
@@ -173,19 +168,16 @@ def _video_frames_real(sf_dir: str) -> Any:
         os.path.join(_real_video_dir(sf_dir), "payload.parquet"),
         override_num_blocks=8,
     )
-    return video_frame_samples(
-        ds, concurrency=pool_size(), decoder=real_video_decode
-    )
+    return video_frame_samples(ds, decoder=real_video_decode)
 
 
 def _video_frames(sf_dir: str) -> Any:
     import ray.data as rd
 
-    from pytorchocr_ray.ops import pool_size
     from pytorchocr_ray.stages.multimodal import video_frame_samples
 
     ds = rd.read_parquet(_video_parquet(sf_dir), override_num_blocks=8)
-    return video_frame_samples(ds, concurrency=pool_size())
+    return video_frame_samples(ds)
 
 
 def _sessionize(sf_dir: str) -> Any:
@@ -234,22 +226,20 @@ def _pubtab_fixture(sf_dir: str) -> str:
 
 
 def _table_structure(sf_dir: str) -> Any:
-    from pytorchocr_ray.ops import pool_size
     from pytorchocr_ray.pipelines.table import table_structure_ds
 
-    return table_structure_ds(_pubtab_fixture(sf_dir), concurrency=pool_size(4))
+    return table_structure_ds(_pubtab_fixture(sf_dir))
 
 
 def _table_structure_image(sf_dir: str) -> Any:
     import os
 
-    from pytorchocr_ray.ops import pool_size
     from pytorchocr_ray.pipelines.table import table_structure_from_images
 
     images = os.path.join(
         os.path.dirname(_pubtab_fixture(sf_dir)), "table_images.parquet"
     )
-    return table_structure_from_images(images, concurrency=pool_size(4))
+    return table_structure_from_images(images)
 
 
 def _evaluate_engine(sf_dir: str) -> Any:

@@ -201,7 +201,6 @@ def run_bench() -> dict:
     def run_adpcm():
         import ray.data as rd
 
-        from pytorchocr_ray.ops import pool_size
         from pytorchocr_ray.stages.multimodal import (
             audio_features,
             real_audio_decode,
@@ -212,9 +211,7 @@ def run_bench() -> dict:
         ds = rd.read_parquet(
             os.path.join(d, "payload.parquet"), override_num_blocks=8
         )
-        audio_features(
-            ds, concurrency=pool_size(), decoder=real_audio_decode
-        ).count()
+        audio_features(ds, decoder=real_audio_decode).count()
 
     run_adpcm()  # untimed: builds the fixture on first call
     timed("audio_adpcm", run_adpcm)
@@ -309,15 +306,11 @@ def run_bench() -> dict:
 
     timed(
         "image_dhash_dups",
-        lambda: _imgdd.image_dhash_dups(
-            os.path.join(corpus, "media"), concurrency=max(2, NUM_CPUS - 2)
-        ).count(),
+        lambda: _imgdd.image_dhash_dups(os.path.join(corpus, "media")).count(),
     )
     timed(
         "image_dhash_near",
-        lambda: _imgdd.image_dhash_near(
-            os.path.join(corpus, "media"), concurrency=max(2, NUM_CPUS - 2)
-        ).count(),
+        lambda: _imgdd.image_dhash_near(os.path.join(corpus, "media")).count(),
     )
     timed("bpe_token_count", lambda: textstats.bpe_token_count(SF_DIR).count())
 
@@ -330,7 +323,6 @@ def run_bench() -> dict:
     def run_mulaw():
         import ray.data as rd
 
-        from pytorchocr_ray.ops import pool_size
         from pytorchocr_ray.stages.multimodal import (
             audio_features,
             real_audio_decode,
@@ -341,9 +333,7 @@ def run_bench() -> dict:
         ds = rd.read_parquet(
             os.path.join(d, "payload.parquet"), override_num_blocks=8
         )
-        audio_features(
-            ds, concurrency=pool_size(), decoder=real_audio_decode
-        ).count()
+        audio_features(ds, decoder=real_audio_decode).count()
 
     run_mulaw()  # untimed: builds the fixture on first call
     timed("audio_mulaw", run_mulaw)
@@ -355,19 +345,14 @@ def run_bench() -> dict:
     )
     timed("dedup_clusters", lambda: dedup.dedup_clusters(SF_DIR).count())
 
-    # visualization sink over the (small) warmup corpus media — the only
-    # r3 stage previously outside the sweep (VERDICT r3 #9)
+    # visualization sink over the (small) warmup corpus media
     from pytorchocr_ray.stages.visualize import visualize_corpus
 
     vis_out = "/tmp/bench_vis_out"
     shutil.rmtree(vis_out, ignore_errors=True)
     timed(
         "visualize",
-        lambda: visualize_corpus(
-            os.path.join(warm_corpus, "media"),
-            vis_out,
-            concurrency=max(1, NUM_CPUS - 2),
-        ),
+        lambda: visualize_corpus(os.path.join(warm_corpus, "media"), vis_out),
     )
     shutil.rmtree(vis_out, ignore_errors=True)
 

@@ -73,15 +73,6 @@ def table_rows(sf_dir: str, table: str):
         return None
 
 
-def pool_size(cap: int = 8) -> int:
-    """Actor-pool size that always leaves CPUs for the read/shuffle stages —
-    a pool reserving every CPU starves upstream tasks and stalls the
-    streaming executor: the extract pipeline's rule, capped at ``cap``."""
-    from ..pipelines.extract import default_concurrency
-
-    return min(cap, default_concurrency())
-
-
 def salt_count(cpus: int | None = None) -> int:
     """Group count of a :func:`co_partition` exchange, derived from the
     cluster: ~2 groups per CPU keeps every worker busy across two waves

@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from . import co_partition, pool_size
+from . import co_partition
 
 DHASH_ROWS = 8
 DHASH_COLS = 9  # 8 comparisons per row -> 64 bits
@@ -187,17 +187,23 @@ def image_dhash(
     media_dir: str, concurrency: int | None = None, batch_size: int = 64
 ):
     """(media_ref, dhash) over a media parquet table/dir — the hash pass
-    alone (no shuffle).  Default pool size leaves CPUs for the read stage
-    (a pool holding EVERY cpu starves the upstream tasks and stalls the
-    streaming executor — observed as a livelock in a 4-cpu session)."""
+    alone (no shuffle).  The pool comes from
+    :func:`~..pipelines.extract.pool_resources` (at most 32 actors by
+    default), which keeps a whole CPU for the read and for the task after
+    the pool: a pool holding every CPU starves the upstream tasks and stalls
+    the streaming executor (observed as a livelock in a 4-cpu session)."""
     import ray.data as rd
 
+    from ..pipelines.extract import pool_resources
+
+    n, actor_cpus = pool_resources(cap=32, concurrency=concurrency)
     ds = rd.read_parquet(_media_files(media_dir))
     return ds.map_batches(
         DHashStage,
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency or pool_size(cap=32),
+        concurrency=n,
+        num_cpus=actor_cpus,
     )
 
 

@@ -57,12 +57,62 @@ def load_media_store(media_path: str):
     return ray.put(dict(zip(t["media_ref"].to_pylist(), t["data"].to_pylist())))
 
 
-def default_concurrency() -> int:
-    """OCR pool size, also the rule behind ``ops.pool_size``."""
+def pool_resources(
+    cap: int | None = None, concurrency: int | None = None
+) -> tuple[int, float]:
+    """``(actors, num_cpus per actor)`` of an actor pool on this cluster;
+    every actor-pool ``map_batches`` in the library takes its size from here.
+
+    By default a pool runs ``cpus - 1`` actors, at most ``cap``; an explicit
+    ``concurrency`` overrides both. However many actors there are, together
+    they claim at most ``cpus - 2`` logical CPUs (``min(1, (cpus - 2) / n)``
+    each, rounded down to Ray's 1e-4 resource unit), so the read operator and
+    the task operator after the pool each keep one whole CPU. Ray Data
+    reserves CPUs upstream first: a pool that claims ``cpus - 1`` whole CPUs
+    leaves the last operator without its minimum, so it runs only when
+    backpressure lifts or the executor's 10 s idle detector lets a task
+    through. The OCR actors are CPU-bound and the tasks around
+    them nearly idle, so ``cpus - 1`` processes on ``cpus - 2`` CPUs of
+    accounting keep every core busy.
+
+    At two CPUs or fewer the pool is one whole-CPU actor. An explicit pool
+    of more actors than cluster CPUs (more than one at two CPUs or fewer)
+    cannot run without starving the tasks around it or time-sharing cores,
+    so it raises ``ValueError`` here instead of hanging the executor.
+
+    Sizing a pool first runs Python's cyclic GC on the driver. Ray Data
+    ends a finished pool by dropping its actor handles, not by killing the
+    actors, and Ray's handles sit in reference cycles: until a collection
+    runs, the old actors keep their CPUs, and a new pool waits for them
+    until the raylet asks the driver to collect (observed ~15 s later).
+    """
+    import gc
+
     import ray
 
+    gc.collect()
     cpus = int(ray.cluster_resources().get("CPU", 4))
-    return max(1, cpus - 2)  # leave headroom for read + reassembly stages
+    if concurrency is None:
+        n = cpus - 1 if cpus > 2 else 1
+        if cap is not None:
+            n = min(n, cap)
+    else:
+        n = concurrency
+        limit = cpus if cpus > 2 else 1
+        if not 1 <= n <= limit:
+            raise ValueError(
+                f"concurrency={n} does not fit a cluster of {cpus} CPUs: "
+                f"an actor pool here takes 1 to {limit} actors"
+            )
+    if cpus <= 2:
+        return n, 1.0
+    return n, min(1.0, (cpus - 2) * 10_000 // n / 10_000)
+
+
+def default_concurrency() -> int:
+    """Actor count of the default OCR pool: ``cpus - 1`` (one at two CPUs or
+    fewer), sharing ``cpus - 2`` CPUs; see :func:`pool_resources`."""
+    return pool_resources()[0]
 
 
 def extract_dataset(
@@ -79,6 +129,10 @@ def extract_dataset(
 ):
     """Build the lazy extraction Dataset (flat EXTRACTED_FLAT rows).
 
+    ``concurrency``: OCR actors (default :func:`default_concurrency`); their
+    CPU share, and the ``ValueError`` for a pool that does not fit, come
+    from :func:`pool_resources`.
+
     ``pre_filter``: optional vectorized batch->batch function applied to the
     documents table right after the read (the partitioned runner injects its
     bucket filter here; at scale this is replaced by reading only the
@@ -86,11 +140,11 @@ def extract_dataset(
     """
     from ..state.weights import put_weights
 
+    conc, actor_cpus = pool_resources(concurrency=concurrency)
     if media_ref is None and media_path is not None:
         media_ref = load_media_store(media_path)
     if weights_ref is None:
         weights_ref = put_weights()
-    conc = concurrency or default_concurrency()
 
     # A *.lance docs path routes through the Lance reader when the lib is
     # present (import-guarded; BASELINE names a Lance table).
@@ -106,7 +160,7 @@ def extract_dataset(
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=conc,
-        num_cpus=1,
+        num_cpus=actor_cpus,
         fn_constructor_kwargs={
             "weights_ref": weights_ref,
             "media_ref": media_ref,

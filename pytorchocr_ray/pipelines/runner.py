@@ -13,7 +13,7 @@
   uncommitted partitions — the batch-pipeline form of the reference's
   epoch checkpoints (pytocr/utils/save_load.py:104-129, tools/program.py:387-410).
 
-* **Bucketed input layout** (round 2): one pass writes the documents table
+* **Bucketed input layout**: one pass writes the documents table
   hash-partitioned to ``out_dir/_input/bucket=<b>/``; every partition job
   then reads ONLY its own files — each input byte is read once for
   planning and once for extraction, with no per-partition full-table
@@ -133,11 +133,11 @@ def write_bucketed_input(
 ) -> str | None:
     """One pass over the documents table -> hash-partitioned copy under
     ``out_dir/_input/bucket=<b>/`` so each partition job reads ONLY its own
-    files (round 2: replaces the per-partition full-table re-read + filter,
-    the B-fold read amplification VERDICT r1 flagged).
+    files, instead of a full-table re-read + filter per partition (a B-fold
+    read amplification).
 
-    Crash-safe and idempotent (ADVICE r2, high): the layout is written to a
-    temp dir and atomically renamed only after the marker lands inside it —
+    Crash-safe and idempotent: the layout is written to a temp dir and
+    atomically renamed only after the marker lands inside it —
     a crash mid-write leaves only the temp dir (removed on retry), never a
     half-written ``_input`` that a resumed run would silently append a
     second copy of every document to.  A pre-existing ``_input`` whose
@@ -237,12 +237,16 @@ def run_partitioned(
 ) -> dict:
     """Run extraction partition-by-partition with commit markers.
 
-    ``max_parallel`` partitions run CONCURRENTLY (round 3, VERDICT r2 #6:
-    the strictly sequential driver loop serialized B x n_subs jobs — at
-    100 TB the per-job ramp/teardown tail would dominate).  The actor-pool
-    CPU budget is split across in-flight jobs (the documented fixed-actor-
-    group pattern: the combined pools must fit the cluster or the streaming
-    executors deadlock each other).  Each partition's output dir, lineage
+    ``max_parallel`` partitions run CONCURRENTLY: a strictly sequential
+    driver loop serializes B x n_subs jobs, and at 100 TB the per-job
+    ramp/teardown tail would dominate.  The actor budget (``concurrency``,
+    default :func:`~.extract.default_concurrency`) is split across in-flight
+    jobs, ``budget // n_jobs`` actors each (one each for two jobs on 4
+    CPUs), and each job's pool takes its per-actor CPU share from
+    :func:`~.extract.pool_resources`.  Each job's executor reserves CPUs
+    against the whole cluster, not its share, so the jobs' read and write
+    tasks compete for the CPUs their pools leave (two on 4 CPUs, where each
+    job runs one whole-CPU actor).  Each partition's output dir, lineage
     record, and commit marker are independent, so concurrency cannot change
     committed bytes; the returned lists are sorted for determinism.
 

@@ -80,7 +80,7 @@ class TableStage:
 
 
 class TableImageStage:
-    """Image-driven branch (r3): table PNG -> binarize -> cell-outline
+    """Image-driven branch: table PNG -> binarize -> cell-outline
     components (the det post-processor's labeller) -> structure tokens from
     cell geometry -> the same decode path as the label branch.
 
@@ -113,31 +113,38 @@ class TableImageStage:
         return _out_table(rows)
 
 
-def table_structure_ds(jsonl_path: str, concurrency: int = 4, **params):
+def table_structure_ds(jsonl_path: str, concurrency: int | None = None, **params):
     from ..sources.label_files import read_pubtab_jsonl
+    from .extract import pool_resources
 
+    n, actor_cpus = pool_resources(cap=4, concurrency=concurrency)
     ds = read_pubtab_jsonl(jsonl_path)
     return ds.map_batches(
         TableStage,
         batch_format="pyarrow",
-        concurrency=concurrency,
+        concurrency=n,
+        num_cpus=actor_cpus,
         fn_constructor_kwargs=params,
     )
 
 
 def table_structure_from_images(
-    images_parquet: str, concurrency: int = 4, **params
+    images_parquet: str, concurrency: int | None = None, **params
 ):
     """Image-driven twin of :func:`table_structure_ds` over a parquet of
     (filename, data PNG, imgh, imgw) rows. Small batches: each row carries
     a full decoded page (fat binary payloads)."""
     import ray.data as rd
 
+    from .extract import pool_resources
+
+    n, actor_cpus = pool_resources(cap=4, concurrency=concurrency)
     ds = rd.read_parquet(images_parquet)
     return ds.map_batches(
         TableImageStage,
         batch_format="pyarrow",
         batch_size=32,
-        concurrency=concurrency,
+        concurrency=n,
+        num_cpus=actor_cpus,
         fn_constructor_kwargs=params,
     )

@@ -117,5 +117,10 @@ def build_pipeline(ds, spec: list[dict[str, Any]]):
             ds = fn(ds)
         else:
             kwargs = {**kwargs, **step.get("compute", {})}
+            if isinstance(fn, type):  # an actor pool: the one pool rule
+                from .pipelines.extract import pool_resources
+
+                n, actor_cpus = pool_resources(concurrency=kwargs.get("concurrency"))
+                kwargs = {"num_cpus": actor_cpus, **kwargs, "concurrency": n}
             ds = ds.map_batches(fn, **kwargs)
     return ds

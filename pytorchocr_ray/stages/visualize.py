@@ -127,18 +127,23 @@ class VisualizeStage:
 
 
 def visualize_corpus(
-    media_path: str, out_dir: str, concurrency: int = 4, mode: str = "ocr",
-    batch_size: int = 16,
+    media_path: str, out_dir: str, concurrency: int | None = None,
+    mode: str = "ocr", batch_size: int = 16,
 ):
     """Write (media_ref, vis_png) parquet under ``out_dir`` for every
-    decodable media row. Small batches: rows carry full images."""
+    decodable media row. Small batches: rows carry full images. The pool
+    comes from :func:`~..pipelines.extract.pool_resources`."""
     import ray.data as rd
 
+    from ..pipelines.extract import pool_resources
+
+    n, actor_cpus = pool_resources(concurrency=concurrency)
     ds = rd.read_parquet(media_path, columns=["media_ref", "data"]).map_batches(
         VisualizeStage,
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
+        concurrency=n,
+        num_cpus=actor_cpus,
         fn_constructor_kwargs={"mode": mode},
     )
     ds.write_parquet(out_dir)

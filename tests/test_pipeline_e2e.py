@@ -28,18 +28,37 @@ def golden(small_corpus):
 
 
 def test_pool_sizes_leave_two_cpus(monkeypatch):
-    """The extract pool and the capped ops pools leave two CPUs to the
-    other stages, and never go below one actor."""
+    """Every pool runs cpus - 1 actors (at most its cap, never fewer than
+    one), and from 3 CPUs on the actors together claim at most cpus - 2
+    CPUs, so the read and the task after the pool each keep a whole CPU.
+    An explicit pool gets the same split, up to one actor per CPU; a
+    larger one raises at build time."""
+    import gc
+
     import ray
 
-    from pytorchocr_ray.ops import pool_size
-    from pytorchocr_ray.pipelines.extract import default_concurrency
+    from pytorchocr_ray.pipelines.extract import default_concurrency, pool_resources
 
-    for cpus in (1, 2, 3, 4, 5, 10, 32, 64):
+    monkeypatch.setattr(gc, "collect", lambda: 0)  # sizing only, no pools
+    for cpus in range(1, 65):
         monkeypatch.setattr(ray, "cluster_resources", lambda c=float(cpus): {"CPU": c})
-        assert default_concurrency() == max(1, cpus - 2)
-        for cap in (4, 8, 32):
-            assert pool_size(cap) == max(1, min(cap, cpus - 2))
+        assert default_concurrency() == pool_resources()[0]
+        for cap in (None, 4, 8, 32):
+            n, actor_cpus = pool_resources(cap=cap)
+            assert n >= 1 and 0 < actor_cpus <= 1
+            if cpus >= 3:
+                assert n == min(cap or cpus, cpus - 1)
+                assert n * actor_cpus + 2 <= cpus
+            else:
+                assert (n, actor_cpus) == (1, 1.0)
+        limit = cpus if cpus >= 3 else 1
+        for want in range(1, limit + 1):
+            n, actor_cpus = pool_resources(concurrency=want)
+            assert n == want and 0 < actor_cpus <= 1
+            assert cpus < 3 or n * actor_cpus + 2 <= cpus
+        for bad in (0, limit + 1):
+            with pytest.raises(ValueError, match=f"concurrency={bad} .* {cpus} CPUs"):
+                pool_resources(concurrency=bad)
 
 
 def test_reassemble_guard_detects_split_doc():
@@ -191,3 +210,105 @@ def test_pipeline_deterministic_across_batch_sizes(ray_session, small_corpus, go
     )
     got = _canon(ds.to_pandas())
     pd.testing.assert_frame_equal(got, golden)
+
+
+_FULL_POOL = """
+import os, sys
+import ray
+ray.init(address="local", num_cpus=4, include_dashboard=False)
+from pytorchocr_ray.pipelines.extract import extract_dataset
+corpus, out = sys.argv[1:]
+try:
+    ds = extract_dataset(os.path.join(corpus, "documents.parquet"),
+                         os.path.join(corpus, "media.parquet"), concurrency=4)
+    ds.write_parquet(out)
+except ValueError as e:
+    print("REFUSED", e)
+ray.shutdown()
+"""
+
+
+def test_pool_of_every_cpu_finishes_or_refuses(small_corpus, golden, tmp_path):
+    """A pool asking for every cluster CPU must finish or refuse, never
+    hang: 4 whole-CPU actors on 4 CPUs wedged the executor (no pass in
+    300 s). Own 4-CPU cluster in a subprocess, killed at 180 s."""
+    import signal
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = tmp_path / "out"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _FULL_POOL, small_corpus, str(out)],
+        cwd=root, env={**os.environ, "PYTHONPATH": root},
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        start_new_session=True,
+    )
+    try:
+        log, _ = proc.communicate(timeout=180)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("extract_dataset(concurrency=4) on 4 CPUs ran past 180 s")
+    assert proc.returncode == 0, log[-3000:]
+    if "REFUSED" not in log:
+        got = _canon(pd.read_parquet(out))
+        pd.testing.assert_frame_equal(got, golden)
+
+
+def test_text_passes_do_not_stall(ray_session, small_corpus, tmp_path):
+    """Text-only extraction at the default pool, run after the other
+    pools of this module: each of 6 passes ends well inside the streaming
+    executor's 10 s idle interval. A pass that waits for CPUs held by
+    another operator, or by a finished pool's actors, runs past it."""
+    import time
+
+    import pyarrow as pa
+
+    from pytorchocr_ray.pipelines.extract import extract_dataset
+
+    src = pq.read_table(os.path.join(small_corpus, "documents.parquet"))
+    docs, copies = src.to_pylist(), 50
+    text = [[s for s in d["spans"] if s["kind"] != "media"] for d in docs]
+    table = pa.Table.from_pydict({
+        "doc_id": [f"{d['doc_id']}~{j}" for j in range(copies) for d in docs],
+        "spans": text * copies,
+    }, schema=src.schema)
+    path = str(tmp_path / "docs.parquet")
+    pq.write_table(table, path)
+    n_spans = copies * sum(len(t) for t in text)
+    for i in range(6):
+        out = str(tmp_path / f"out{i}")
+        t0 = time.perf_counter()
+        extract_dataset(path).write_parquet(out)
+        wall = time.perf_counter() - t0
+        assert pq.read_table(out).num_rows == n_spans
+        assert wall < 10.0, f"pass {i} took {wall:.1f} s"
+
+
+def test_finished_pool_frees_its_cpus_for_the_next(ray_session, small_corpus):
+    """A finished pool's actors release their CPUs once the next pool is
+    sized, even when Python's automatic GC has not run: their handles sit
+    in reference cycles on the driver."""
+    import gc
+    import time
+
+    import ray
+
+    from pytorchocr_ray.pipelines.extract import extract_dataset, pool_resources
+
+    total = ray.cluster_resources()["CPU"]
+    gc.disable()
+    try:
+        extract_dataset(
+            os.path.join(small_corpus, "documents.parquet"),
+            os.path.join(small_corpus, "media.parquet"),
+            concurrency=3,
+        ).to_pandas()
+        pool_resources()
+        deadline = time.monotonic() + 5
+        while ray.available_resources().get("CPU", 0) < total and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert ray.available_resources().get("CPU", 0) == total
+    finally:
+        gc.enable()
