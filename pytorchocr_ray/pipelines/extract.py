@@ -23,10 +23,10 @@ from ..stages.ocr_stage import OcrStage
 from ..stages.reassemble import reassemble_block, reassemble_group
 from ..stages.spans import explode_spans, normalize_text_spans
 
-# Block granularity: OCR costs ~10ms per media row, so a good task is O(100)
-# rows. Splitting the read into ~8 blocks per actor keeps the pool busy in
-# many waves (no straggler tail from media-heavy blocks); the count scales
-# with the pool, not the data size.
+# The block is the unit of OCR work: the OCR stage takes each block whole
+# (``batch_size=None``), one actor call per block. Splitting the read into
+# ~8 blocks per actor keeps the pool busy in many waves (no straggler tail
+# from media-heavy blocks); the count scales with the pool, not the data size.
 BLOCKS_PER_ACTOR = 8
 
 
@@ -123,7 +123,7 @@ def extract_dataset(
     weights_ref=None,
     config: OcrConfig | None = None,
     concurrency: int | None = None,
-    batch_size: int = 16,
+    batch_size: int | None = None,
     pre_filter=None,
     reassemble: str = "local",
 ):
@@ -132,6 +132,10 @@ def extract_dataset(
     ``concurrency``: OCR actors (default :func:`default_concurrency`); their
     CPU share, and the ``ValueError`` for a pool that does not fit, come
     from :func:`pool_resources`.
+
+    ``batch_size``: rows per OCR actor call. The default ``None`` hands each
+    actor a whole block (see ``BLOCKS_PER_ACTOR``), so the per-call cost is
+    paid once per block, not once per few rows.
 
     ``pre_filter``: optional vectorized batch->batch function applied to the
     documents table right after the read (the partitioned runner injects its

@@ -6,13 +6,14 @@
   bucket (partial agg inside map_batches -> tiny groupby); buckets above
   ``skew_factor x mean`` are split into sub-partitions by a secondary hash
   so one media-heavy bucket cannot straggle the run.
-* **Checkpoint / resume**: each partition's output is written to a temp dir,
-  atomically renamed to ``part=<b>.<s>``, then a ``_COMMITTED_<b>_<s>.json``
-  marker with the lineage record (input span count, OCR'd region count,
-  checksum) is written. A restarted run lists markers and schedules only
-  uncommitted partitions — the batch-pipeline form of the reference's
-  epoch checkpoints (pytocr/utils/save_load.py:104-129, tools/program.py:387-410).
-
+* **Checkpoint / resume**: each partition is one Ray Data pass whose last
+  map writes its blocks to a temp dir and returns lineage partials (no
+  materialize, no second write or lineage pass); the dir is atomically
+  renamed to ``part=<b>.<s>``, then a ``_COMMITTED_<b>_<s>.json`` lineage
+  marker is written. A restarted run skips a partition only if its marker's
+  row count matches its parquet footers — the batch-pipeline form of the
+  reference's epoch checkpoints (pytocr/utils/save_load.py:104-129,
+  tools/program.py:387-410).
 * **Bucketed input layout**: one pass writes the documents table
   hash-partitioned to ``out_dir/_input/bucket=<b>/``; every partition job
   then reads ONLY its own files — each input byte is read once for
@@ -24,13 +25,18 @@
 from __future__ import annotations
 
 import json
+import logging
 import os
+import shutil
+import threading
+import uuid
 from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 from ..functions.ocr import OcrConfig
 from .extract import extract_dataset
@@ -144,8 +150,6 @@ def write_bucketed_input(
     marker doesn't match this ``n_buckets`` (stale layout from a previous
     bucketing) is replaced wholesale.  Returns the layout dir, or None if
     the write fails (callers fall back to filtered full reads)."""
-    import shutil
-
     import ray.data as rd
 
     input_dir = os.path.join(out_dir, "_input")
@@ -182,44 +186,46 @@ def result_checksum(df: pd.DataFrame) -> str:
     return hex(int(h.sum() & np.uint64(0xFFFFFFFFFFFFFFFF)))
 
 
-def _lineage_stats(ds) -> dict:
-    """Distributed lineage: per-batch partials -> one Sum aggregate.
+def _commit_block(batch: pa.Table, tmp_dir: str) -> pa.Table:
+    """Last map of a partition's pass: write a non-empty block to its own
+    parquet file in ``tmp_dir`` and return its lineage partial: the file's
+    name, rows, first spans, media rows and the wrapping uint64 sum of the
+    row hashes (order-insensitive, so the partials of a partition sum to
+    :func:`result_checksum` of its rows)."""
+    df = batch.to_pandas()[["doc_id", "order", "kind", "text", "media_ref"]]
+    h = pd.util.hash_pandas_object(df, index=False).to_numpy(np.uint64)
+    name = f"{uuid.uuid4().hex}.parquet" if len(df) else ""
+    if name:
+        pq.write_table(batch, os.path.join(tmp_dir, name))
+    return pa.table({
+        "file": [name],
+        "rows": [len(df)],
+        "docs_first": [int((df["order"] == 0).sum())],
+        "regions": [int((df["kind"] == "media").sum())],
+        # uint64 bits carried as int64 (wrapping final sum in run_partitioned)
+        "hash_sum": [int(h.sum(dtype=np.uint64).astype(np.int64))],
+    })
 
-    Row hashes are order-insensitive under wrapping uint64 summation, so the
-    summed checksum equals :func:`result_checksum` of the same rows.
-    """
-    import pyarrow as par
 
-    def partial(batch: par.Table) -> par.Table:
-        df = batch.to_pandas()[["doc_id", "order", "kind", "text", "media_ref"]]
-        h = pd.util.hash_pandas_object(df, index=False).to_numpy(np.uint64)
-        return par.table(
-            {
-                "rows": par.array([len(df)], par.int64()),
-                "regions": par.array(
-                    [int((df["kind"] == "media").sum())], par.int64()
-                ),
-                "docs_first": par.array(
-                    [int((df["order"] == 0).sum())], par.int64()
-                ),
-                # uint64 bits carried as int64 (wrapping final sum on driver)
-                "hash_sum": par.array(
-                    [int(h.sum(dtype=np.uint64).astype(np.int64))], par.int64()
-                ),
-            }
-        )
-
-    # one tiny partial row per block; final combine on the driver
-    parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    hash_total = parts["hash_sum"].to_numpy(np.int64).view(np.uint64).sum(
-        dtype=np.uint64
-    ) if len(parts) else np.uint64(0)
-    return {
-        "output_rows": int(parts["rows"].sum()) if len(parts) else 0,
-        "output_docs": int(parts["docs_first"].sum()) if len(parts) else 0,
-        "ocr_regions": int(parts["regions"].sum()) if len(parts) else 0,
-        "checksum": hex(int(hash_total)),
-    }
+def _is_committed(out_dir: str, part: Partition) -> bool:
+    """True when the partition's marker exists and the parquet footers under
+    its dir (no data pages are read) hold the marker's ``output_rows``."""
+    marker = os.path.join(out_dir, part.marker)
+    if not os.path.exists(marker):
+        return False
+    with open(marker) as f:
+        want = json.load(f)["output_rows"]
+    pdir = os.path.join(out_dir, part.name)
+    try:
+        got = sum(pq.read_metadata(os.path.join(pdir, f)).num_rows
+                  for f in os.listdir(pdir))
+    except (OSError, pa.ArrowException):  # missing dir or unreadable footer
+        got = None
+    if got != want:
+        logging.getLogger(__name__).warning(
+            "%s: marker records %d rows, its dir holds %s; re-running it",
+            part.name, want, got)
+    return got == want
 
 
 def run_partitioned(
@@ -237,18 +243,21 @@ def run_partitioned(
 ) -> dict:
     """Run extraction partition-by-partition with commit markers.
 
+    Each partition is one Ray Data pass ending in :func:`_commit_block`;
+    nothing is materialized, written after it or retried: this process sums
+    the lineage partials, renames the temp dir and writes the marker.
+
     ``max_parallel`` partitions run CONCURRENTLY: a strictly sequential
     driver loop serializes B x n_subs jobs, and at 100 TB the per-job
     ramp/teardown tail would dominate.  The actor budget (``concurrency``,
     default :func:`~.extract.default_concurrency`) is split across in-flight
-    jobs, ``budget // n_jobs`` actors each (one each for two jobs on 4
-    CPUs), and each job's pool takes its per-actor CPU share from
-    :func:`~.extract.pool_resources`.  Each job's executor reserves CPUs
-    against the whole cluster, not its share, so the jobs' read and write
-    tasks compete for the CPUs their pools leave (two on 4 CPUs, where each
-    job runs one whole-CPU actor).  Each partition's output dir, lineage
-    record, and commit marker are independent, so concurrency cannot change
-    committed bytes; the returned lists are sorted for determinism.
+    jobs, ``budget // n_jobs`` actors each, sized by
+    :func:`~.extract.pool_resources` (one whole-CPU actor per job for two
+    jobs on 4 CPUs).  Each job's executor reserves CPUs against the whole
+    cluster, not its share, so the jobs' read and write tasks compete for
+    the CPUs their pools leave.  Partitions' output dirs, lineage records
+    and markers are independent, so concurrency cannot change committed
+    bytes; the returned lists are sorted for determinism.
 
     ``fail_after=k`` injects a crash after k partitions commit (resume
     tests); it forces sequential execution so "k committed" is exact.
@@ -269,7 +278,7 @@ def run_partitioned(
     todo: list[Partition] = []
     skipped: list[str] = []
     for part in parts:
-        if resume and os.path.exists(os.path.join(out_dir, part.marker)):
+        if resume and _is_committed(out_dir, part):
             skipped.append(part.name)
         else:
             todo.append(part)
@@ -277,36 +286,17 @@ def run_partitioned(
     budget = concurrency or default_concurrency()
     per_job = max(1, budget // n_jobs)
 
-    import threading
-
     build_lock = threading.Lock()
 
-    def retry_racy_import(fn):
-        """Ray's path resolution probes ``fsspec.implementations.http`` on
-        EVERY read_parquet/write_parquet call; with aiohttp absent the probe
-        import fails permanently, and two threads probing at once can see a
-        partially-initialized module — a plain ImportError that Ray's
-        ``except ModuleNotFoundError`` does not catch.  Retrying once under
-        the lock serializes the probe and always succeeds."""
-        try:
-            return fn()
-        except ImportError as e:
-            if "HTTPFileSystem" not in str(e):
-                raise
-            with build_lock:
-                return fn()
-
     def run_one(part: Partition) -> dict:
-        import shutil
-
         part_docs = (
             os.path.join(input_dir, f"bucket={part.bucket}")
             if input_dir
             else docs_path
         )
-        # dataset CONSTRUCTION is serialized (read_parquet path resolution
-        # hits the racy probe import above); execution — the expensive
-        # part — runs fully concurrently
+        # dataset CONSTRUCTION is serialized (concurrent read_parquet path
+        # resolution races on fsspec's optional-module probe); execution —
+        # the expensive part — runs fully concurrently
         with build_lock:
             ds = extract_dataset(
                 part_docs,
@@ -318,18 +308,27 @@ def run_partitioned(
                     n_buckets, part, bucketed=input_dir is not None
                 ),
             )
-        # run the partition ONCE into the object store (never the driver
-        # heap), then write + compute lineage from the pinned result
-        mat = ds.materialize()
         final = os.path.join(out_dir, part.name)
         tmp = os.path.join(out_dir, f"_tmp_{part.bucket}_{part.sub}")
-        if os.path.exists(tmp):
-            shutil.rmtree(tmp)
-        retry_racy_import(lambda: mat.write_parquet(tmp))
+        shutil.rmtree(tmp, ignore_errors=True)
+        os.makedirs(tmp)
+        partials = (
+            ds.map_batches(
+                _commit_block,
+                fn_kwargs={"tmp_dir": tmp},
+                batch_format="pyarrow",
+                batch_size=None,
+            )
+            .to_pandas()
+            .reindex(columns=["file", "rows", "docs_first", "regions", "hash_sum"])
+        )
+        # a file no partial names is a retried task's leftover
+        for f in set(os.listdir(tmp)) - set(partials["file"]):
+            os.remove(os.path.join(tmp, f))
         if os.path.exists(final):
             shutil.rmtree(final)
         os.rename(tmp, final)
-        stats = _lineage_stats(mat)
+        hash_total = partials["hash_sum"].to_numpy(np.int64).view(np.uint64)
         record = {
             "partition": part.name,
             "bucket": part.bucket,
@@ -337,7 +336,10 @@ def run_partitioned(
             "n_subs": part.n_subs,
             "planned_docs": part.planned_docs,
             "planned_media_spans": part.planned_media_spans,
-            **stats,
+            "output_rows": int(partials["rows"].sum()),
+            "output_docs": int(partials["docs_first"].sum()),
+            "ocr_regions": int(partials["regions"].sum()),
+            "checksum": hex(int(hash_total.sum(dtype=np.uint64))),
         }
         marker_path = os.path.join(out_dir, part.marker)
         tmp_marker = marker_path + ".tmp"
@@ -359,8 +361,7 @@ def run_partitioned(
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            for rec in pool.map(run_one, todo):
-                lineage.append(rec)
+            lineage = list(pool.map(run_one, todo))
         ran = [p.name for p in todo]
     lineage.sort(key=lambda r: (r["bucket"], r["sub"]))
     return {
@@ -374,8 +375,6 @@ def run_partitioned(
 
 def read_extracted(out_dir: str) -> pd.DataFrame:
     """Read all committed partitions back as one DataFrame."""
-    import pyarrow.parquet as pq
-
     frames = []
     for name in sorted(os.listdir(out_dir)):
         if not name.startswith("_COMMITTED_"):

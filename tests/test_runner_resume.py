@@ -119,3 +119,111 @@ def test_resume_after_injected_failure(ray_session, paths, tmp_path):
         return sums
 
     assert marker_sums(out) == marker_sums(out2)
+
+
+def _markers(d):
+    recs = {}
+    for f in sorted(os.listdir(d)):
+        if f.startswith("_COMMITTED_"):
+            with open(os.path.join(d, f)) as fh:
+                rec = json.load(fh)
+            recs[rec["partition"]] = rec
+    return recs
+
+
+def test_markers_match_committed_dirs(ray_session, paths, tmp_path):
+    """Each marker's lineage, summed from per-block partials in the same
+    pass that wrote the rows, equals a recount of its committed dir."""
+    import pyarrow.parquet as pq
+
+    from pytorchocr_ray.pipelines.runner import result_checksum, run_partitioned
+
+    docs_path, media_path = paths
+    out = str(tmp_path / "out")
+    summary = run_partitioned(
+        docs_path, media_path, out, n_buckets=4, skew_factor=0.5, concurrency=2
+    )
+    assert any(r["n_subs"] > 1 for r in summary["lineage"])
+    recs = _markers(out)
+    assert sorted(recs) == summary["ran"]
+    for name, rec in recs.items():
+        df = pq.read_table(os.path.join(out, name)).to_pandas()
+        assert rec["output_rows"] == len(df), name
+        if len(df) == 0:
+            assert rec["checksum"] == hex(0), name
+            continue
+        assert rec["output_docs"] == int((df["order"] == 0).sum()), name
+        assert rec["ocr_regions"] == int((df["kind"] == "media").sum()), name
+        assert rec["checksum"] == result_checksum(df), name
+
+
+def test_empty_subpartition_commits_readable_dir(ray_session, paths, tmp_path):
+    """A skew sub-partition that receives no documents still commits an
+    (empty) dir, read_extracted reads the run, and a resume trusts it."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from pytorchocr_ray.pipelines.extract import extract_dataset
+    from pytorchocr_ray.pipelines.runner import (
+        read_extracted,
+        run_partitioned,
+        stable_bucket,
+    )
+
+    docs_path, media_path = paths
+    src = pq.read_table(docs_path)
+    ids = np.asarray(src["doc_id"].to_pylist(), dtype=object)
+    buckets = stable_bucket(ids, 2)
+    media = np.array(
+        [sum(s["kind"] == "media" for s in spans) for spans in src["spans"].to_pylist()]
+    )
+    # one media-heavy doc alone in bucket 0 and the lightest doc of bucket 1:
+    # bucket 0 splits into >= 2 subs that share one document
+    heavy = int(np.flatnonzero(buckets == 0)[np.argmax(media[buckets == 0])])
+    light = int(np.flatnonzero(buckets == 1)[np.argmin(media[buckets == 1])])
+    assert media[heavy] > media[light]
+    path = str(tmp_path / "docs.parquet")
+    pq.write_table(src.take(pa.array([heavy, light])), path)
+
+    out = str(tmp_path / "out")
+    summary = run_partitioned(
+        path, media_path, out, n_buckets=2, skew_factor=0.5, concurrency=2
+    )
+    empty = [r["partition"] for r in summary["lineage"] if r["output_rows"] == 0]
+    assert empty, summary["lineage"]
+    for name in empty:
+        assert os.path.isdir(os.path.join(out, name))
+    want = extract_dataset(path, media_path, concurrency=2).to_pandas()
+    pd.testing.assert_frame_equal(_canon(read_extracted(out)), _canon(want))
+
+    again = run_partitioned(
+        path, media_path, out, n_buckets=2, skew_factor=0.5, concurrency=2
+    )
+    assert again["ran"] == [] and len(again["skipped"]) == len(summary["ran"])
+
+
+def test_resume_reruns_partition_missing_a_file(ray_session, paths, tmp_path, caplog):
+    """Resume checks each marker against its dir's parquet footers: a
+    committed partition that lost a file is re-run (with a warning), and
+    only that one; the result equals the clean run's."""
+    import logging
+
+    from pytorchocr_ray.pipelines.runner import read_extracted, run_partitioned
+
+    docs_path, media_path = paths
+    out = str(tmp_path / "out")
+    run_partitioned(docs_path, media_path, out, n_buckets=4, concurrency=2)
+    clean_rows = _canon(read_extracted(out))
+    clean = {k: r["checksum"] for k, r in _markers(out).items()}
+
+    victim = next(k for k, r in _markers(out).items() if r["output_rows"] > 0)
+    files = sorted(os.listdir(os.path.join(out, victim)))
+    os.remove(os.path.join(out, victim, files[0]))
+
+    with caplog.at_level(logging.WARNING, logger="pytorchocr_ray.pipelines.runner"):
+        summary = run_partitioned(docs_path, media_path, out, n_buckets=4, concurrency=2)
+    assert summary["ran"] == [victim]
+    assert victim in caplog.text
+    pd.testing.assert_frame_equal(_canon(read_extracted(out)), clean_rows)
+    assert {k: r["checksum"] for k, r in _markers(out).items()} == clean
