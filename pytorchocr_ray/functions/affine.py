@@ -39,11 +39,6 @@ def get_affine_transform(
     return np.linalg.solve(P, dst).T  # (2, 3)
 
 
-def affine_transform(pt: np.ndarray, t: np.ndarray) -> np.ndarray:
-    new_pt = np.array([pt[0], pt[1], 1.0])
-    return (t @ new_pt)[:2]
-
-
 def transform_preds(
     coords: np.ndarray, center: np.ndarray, img_maxsize: float, target_size: float
 ) -> np.ndarray:

@@ -34,13 +34,6 @@ def ctc_greedy_decode(
     return text, float(conf[keep].mean())
 
 
-def ctc_greedy_decode_batch(
-    probs: np.ndarray, remove_duplicate: bool = True
-) -> list[tuple[str, float]]:
-    """probs: (B, T, C) -> list of (text, prob)."""
-    return [ctc_greedy_decode(p, remove_duplicate) for p in probs]
-
-
 # Attention-head decode (reference AttnLabelDecode,
 # pytocr/postprocess/rec_postprocess.py:128-198): the class alphabet is
 # framed as [sos, charset..., eos]; greedy argmax per step, stop at eos,

@@ -116,7 +116,7 @@ def default_concurrency() -> int:
 
 
 def extract_dataset(
-    docs_path: str,
+    docs_path: str | list[str],
     media_path: str | None = None,
     *,
     media_ref=None,
@@ -124,10 +124,11 @@ def extract_dataset(
     config: OcrConfig | None = None,
     concurrency: int | None = None,
     batch_size: int | None = None,
-    pre_filter=None,
     reassemble: str = "local",
 ):
     """Build the lazy extraction Dataset (flat EXTRACTED_FLAT rows).
+
+    ``docs_path``: a documents parquet path, or a list of parquet files.
 
     ``concurrency``: OCR actors (default :func:`default_concurrency`); their
     CPU share, and the ``ValueError`` for a pool that does not fit, come
@@ -136,11 +137,6 @@ def extract_dataset(
     ``batch_size``: rows per OCR actor call. The default ``None`` hands each
     actor a whole block (see ``BLOCKS_PER_ACTOR``), so the per-call cost is
     paid once per block, not once per few rows.
-
-    ``pre_filter``: optional vectorized batch->batch function applied to the
-    documents table right after the read (the partitioned runner injects its
-    bucket filter here; at scale this is replaced by reading only the
-    partition's files).
     """
     from ..state.weights import put_weights
 
@@ -155,8 +151,6 @@ def extract_dataset(
     from ..sources.lance_io import read_table_auto
 
     ds = read_table_auto(docs_path, override_num_blocks=conc * BLOCKS_PER_ACTOR)
-    if pre_filter is not None:
-        ds = ds.map_batches(pre_filter, batch_format="pyarrow")
     ds = ds.map_batches(explode_spans, batch_format="pyarrow")
     ds = ds.map_batches(normalize_text_spans, batch_format="pyarrow")
     ds = ds.map_batches(

@@ -6,31 +6,29 @@
   bucket (partial agg inside map_batches -> tiny groupby); buckets above
   ``skew_factor x mean`` are split into sub-partitions by a secondary hash
   so one media-heavy bucket cannot straggle the run.
-* **Checkpoint / resume**: each partition is one Ray Data pass whose last
-  map writes its blocks to a temp dir and returns lineage partials (no
-  materialize, no second write or lineage pass); the dir is atomically
-  renamed to ``part=<b>.<s>``, then a ``_COMMITTED_<b>_<s>.json`` lineage
-  marker is written. A restarted run skips a partition only if its marker's
-  row count matches its parquet footers — the batch-pipeline form of the
-  reference's epoch checkpoints (pytocr/utils/save_load.py:104-129,
-  tools/program.py:387-410).
-* **Bucketed input layout**: one pass writes the documents table
-  hash-partitioned to ``out_dir/_input/bucket=<b>/``; every partition job
-  then reads ONLY its own files — each input byte is read once for
-  planning and once for extraction, with no per-partition full-table
-  re-read. This is the same layout a 100 TB deployment would keep as its
-  canonical storage partitioning.
+* **Plan-keyed input layout**: one pass writes the documents table to
+  ``out_dir/_input/part=<b>.<s>/`` (bucket and skew sub-split applied once;
+  its ``_SUCCESS`` marker records the plan). Each input byte is read once
+  for planning and once for extraction.
+* **One pass, ordered commit**: every pending partition runs through ONE
+  Ray Data pass and one warm OCR actor pool, reading the partitions' files
+  in plan order with block order preserved. Each partition is committed
+  (temp dir renamed to ``part=<b>.<s>``, then a ``_COMMITTED_<b>_<s>.json``
+  lineage marker) as soon as the pass moves on to a later one. A restarted
+  run skips a partition only if its marker's row count matches its parquet
+  footers — the batch-pipeline form of the reference's epoch checkpoints
+  (pytocr/utils/save_load.py:104-129, tools/program.py:387-410).
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import logging
 import os
 import shutil
-import threading
 import uuid
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import pandas as pd
@@ -41,14 +39,16 @@ import pyarrow.parquet as pq
 from ..functions.ocr import OcrConfig
 from .extract import extract_dataset
 
+COLUMNS = ["doc_id", "order", "kind", "text", "media_ref"]
+
 
 def stable_bucket(ids: np.ndarray, n_buckets: int) -> np.ndarray:
-    return (pd.util.hash_array(ids.astype(object)) % np.uint64(n_buckets)).astype(
-        np.int64
-    )
+    h = pd.util.hash_array(ids.astype(object))
+    return (h % np.uint64(n_buckets)).astype(np.int64)
 
 
-def stable_subpart(ids: np.ndarray, n_buckets: int, n_subs: int) -> np.ndarray:
+def stable_subpart(ids: np.ndarray, n_buckets: int, n_subs) -> np.ndarray:
+    """Sub-partition of each id; ``n_subs`` is a count or one count per id."""
     h = pd.util.hash_array(ids.astype(object))
     return ((h // np.uint64(n_buckets)) % np.uint64(n_subs)).astype(np.int64)
 
@@ -68,6 +68,11 @@ class Partition:
     @property
     def marker(self) -> str:
         return f"_COMMITTED_{self.bucket}_{self.sub}.json"
+
+
+def _tmp_dir(out_dir: str, bucket: int, sub: int) -> str:
+    """Where a partition's files are written until it commits."""
+    return os.path.join(out_dir, f"_tmp_{bucket}_{sub}")
 
 
 def plan_partitions(
@@ -114,97 +119,151 @@ def plan_partitions(
     return out
 
 
-def _partition_filter(n_buckets: int, part: Partition, bucketed: bool):
-    """Row filter for one partition job.  With the bucketed input layout
-    the bucket predicate is already satisfied by reading only the
-    partition's files; only skew sub-splits still filter rows."""
-    if bucketed and part.n_subs == 1:
-        return None
+def partition_of(
+    ids: np.ndarray, n_buckets: int, subs: dict[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(bucket, sub)`` of each document id under a plan whose bucket ``b``
+    has ``subs[b]`` sub-partitions."""
+    n_subs = np.ones(n_buckets, dtype=np.int64)
+    n_subs[list(subs)] = list(subs.values())
+    bucket = stable_bucket(ids, n_buckets)
+    return bucket, stable_subpart(ids, n_buckets, n_subs[bucket])
 
-    def fn(batch: pa.Table) -> pa.Table:
-        ids = np.asarray(batch["doc_id"].to_pylist(), dtype=object)
-        if bucketed:
-            mask = np.ones(len(ids), dtype=bool)
-        else:
-            mask = stable_bucket(ids, n_buckets) == part.bucket
-        if part.n_subs > 1:
-            mask &= stable_subpart(ids, n_buckets, part.n_subs) == part.sub
-        return batch.filter(pa.array(mask))
 
-    return fn
+def _add_part(batch: pa.Table, n_buckets: int, subs: dict[int, int]) -> pa.Table:
+    ids = np.asarray(batch["doc_id"].to_pylist(), dtype=object)
+    bucket, sub = partition_of(ids, n_buckets, subs)
+    return batch.append_column("part", pa.array([f"{b}.{s}" for b, s in zip(bucket, sub)]))
 
 
 def write_bucketed_input(
-    docs_path: str, out_dir: str, n_buckets: int
-) -> str | None:
-    """One pass over the documents table -> hash-partitioned copy under
-    ``out_dir/_input/bucket=<b>/`` so each partition job reads ONLY its own
-    files, instead of a full-table re-read + filter per partition (a B-fold
-    read amplification).
+    docs_path: str, out_dir: str, n_buckets: int, parts: list[Partition]
+) -> str:
+    """One pass over the documents table -> a copy split by the plan under
+    ``out_dir/_input/part=<b>.<s>/``, so the extraction pass reads each
+    partition's own files and no row is filtered after the read.
 
-    Crash-safe and idempotent: the layout is written to a temp dir and
-    atomically renamed only after the marker lands inside it —
-    a crash mid-write leaves only the temp dir (removed on retry), never a
-    half-written ``_input`` that a resumed run would silently append a
-    second copy of every document to.  A pre-existing ``_input`` whose
-    marker doesn't match this ``n_buckets`` (stale layout from a previous
-    bucketing) is replaced wholesale.  Returns the layout dir, or None if
-    the write fails (callers fall back to filtered full reads)."""
+    Crash-safe and idempotent: the layout is written to a temp dir, renamed
+    only after its ``_SUCCESS`` marker lands inside it. The marker records
+    ``n_buckets`` and the plan's ``(bucket, n_subs)`` list; a layout whose
+    marker records another split is replaced. A failed write raises."""
     import ray.data as rd
 
     input_dir = os.path.join(out_dir, "_input")
-    marker_name = f"_SUCCESS_{n_buckets}"
-    if os.path.exists(os.path.join(input_dir, marker_name)):
-        return input_dir
+    subs = {p.bucket: p.n_subs for p in parts}
+    key = json.dumps({"n_buckets": n_buckets, "plan": sorted(subs.items())})
+    marker = os.path.join(input_dir, "_SUCCESS")
+    if os.path.exists(marker):
+        with open(marker) as f:
+            if f.read() == key:
+                return input_dir
     tmp_dir = os.path.join(out_dir, "_input_tmp")
     shutil.rmtree(tmp_dir, ignore_errors=True)
-    from ..stages.spans import add_bucket
-
-    try:
-        ds = rd.read_parquet(docs_path).map_batches(
-            lambda b: add_bucket(b, n_buckets), batch_format="pyarrow"
-        )
-        ds.write_parquet(tmp_dir, partition_cols=["bucket"])
-        with open(os.path.join(tmp_dir, marker_name), "w") as f:
-            f.write("ok")
-    except Exception:
-        shutil.rmtree(tmp_dir, ignore_errors=True)
-        return None
-    # replace any stale/partial layout atomically (rename, not copy)
-    if os.path.exists(input_dir):
-        shutil.rmtree(input_dir)
+    # one block per input file: each writes one file per partition it holds
+    # (Ray would split a small table into many blocks, each writing its own)
+    files = pq.ParquetDataset(docs_path).files
+    rd.read_parquet(files, override_num_blocks=len(files)).map_batches(
+        _add_part, fn_kwargs={"n_buckets": n_buckets, "subs": subs},
+        batch_format="pyarrow",
+    ).write_parquet(tmp_dir, partition_cols=["part"])
+    with open(os.path.join(tmp_dir, "_SUCCESS"), "w") as f:
+        f.write(key)
+    # replace any stale layout atomically (rename, not copy)
+    shutil.rmtree(input_dir, ignore_errors=True)
     os.rename(tmp_dir, input_dir)
     return input_dir
 
 
 def result_checksum(df: pd.DataFrame) -> str:
     """Order-insensitive deterministic checksum of the extracted rows."""
-    canon = df[["doc_id", "order", "kind", "text", "media_ref"]].sort_values(
-        ["doc_id", "order"]
-    )
+    canon = df[COLUMNS].sort_values(["doc_id", "order"])
     h = pd.util.hash_pandas_object(canon.reset_index(drop=True), index=False)
     return hex(int(h.sum() & np.uint64(0xFFFFFFFFFFFFFFFF)))
 
 
-def _commit_block(batch: pa.Table, tmp_dir: str) -> pa.Table:
-    """Last map of a partition's pass: write a non-empty block to its own
-    parquet file in ``tmp_dir`` and return its lineage partial: the file's
-    name, rows, first spans, media rows and the wrapping uint64 sum of the
-    row hashes (order-insensitive, so the partials of a partition sum to
+# one row per (block, partition); hash_sum carries uint64 bits as int64
+# (wrapping final sum in _commit)
+_PARTIAL = pa.schema([("bucket", pa.int64()), ("sub", pa.int64()), ("file", pa.string())]
+                     + [(k, pa.int64()) for k in ("rows", "docs_first", "regions", "hash_sum")])
+
+
+def _commit_block(
+    batch: pa.Table, out_dir: str, n_buckets: int, subs: dict[int, int]
+) -> pa.Table:
+    """Last map of the pass: split a block by partition (recomputed from
+    ``doc_id`` under the plan's ``subs``), write each slice to its own
+    parquet file in that partition's temp dir, and return one lineage
+    partial per partition, in plan order: the file's name, rows, first
+    spans, media rows and the wrapping uint64 sum of the row hashes
+    (order-insensitive, so the partials of a partition sum to
     :func:`result_checksum` of its rows)."""
-    df = batch.to_pandas()[["doc_id", "order", "kind", "text", "media_ref"]]
+    df = batch.to_pandas()[COLUMNS]
     h = pd.util.hash_pandas_object(df, index=False).to_numpy(np.uint64)
-    name = f"{uuid.uuid4().hex}.parquet" if len(df) else ""
-    if name:
-        pq.write_table(batch, os.path.join(tmp_dir, name))
-    return pa.table({
-        "file": [name],
-        "rows": [len(df)],
-        "docs_first": [int((df["order"] == 0).sum())],
-        "regions": [int((df["kind"] == "media").sum())],
-        # uint64 bits carried as int64 (wrapping final sum in run_partitioned)
-        "hash_sum": [int(h.sum(dtype=np.uint64).astype(np.int64))],
-    })
+    bucket, sub = partition_of(df["doc_id"].to_numpy(object), n_buckets, subs)
+    partials = []
+    for b, s in sorted(set(zip(bucket.tolist(), sub.tolist()))):
+        mask = (bucket == b) & (sub == s)
+        name = f"{uuid.uuid4().hex}.parquet"
+        pq.write_table(
+            batch.filter(pa.array(mask)),
+            os.path.join(_tmp_dir(out_dir, b, s), name),
+        )
+        partials.append({
+            "bucket": b, "sub": s, "file": name, "rows": int(mask.sum()),
+            "docs_first": int((df["order"].to_numpy()[mask] == 0).sum()),
+            "regions": int((df["kind"].to_numpy()[mask] == "media").sum()),
+            "hash_sum": int(h[mask].sum(dtype=np.uint64).astype(np.int64)),
+        })
+    return pa.Table.from_pylist(partials, schema=_PARTIAL)
+
+
+def _ordered_partials(batches, todo: list[Partition]):
+    """Yield ``(partition, its partials)`` for each pending partition in plan
+    order, as soon as a partial of a later partition (or the stream's end)
+    shows that its rows are all written."""
+    index = {(p.bucket, p.sub): i for i, p in enumerate(todo)}
+    got: list[list[dict]] = [[] for _ in todo]
+    done = 0
+    for batch in batches:
+        for rec in batch.to_pylist():
+            i = index[rec["bucket"], rec["sub"]]
+            if i < done:
+                raise RuntimeError(f"rows of {todo[i].name} came after its commit")
+            while done < i:
+                yield todo[done], got[done]
+                done += 1
+            got[i].append(rec)
+    for i in range(done, len(todo)):
+        yield todo[i], got[i]
+
+
+def _commit(out_dir: str, part: Partition, partials: list[dict]) -> dict:
+    """Rename the partition's temp dir into place, then its marker: two
+    renames back to back, so a kill between them (the only state with a
+    ``part=`` dir and no marker) has a window of microseconds; resume
+    re-runs such a partition."""
+    tmp = _tmp_dir(out_dir, part.bucket, part.sub)
+    # a file no partial names is a retried task's leftover
+    for f in set(os.listdir(tmp)) - {p["file"] for p in partials}:
+        os.remove(os.path.join(tmp, f))
+    total = {k: int(sum(p[k] for p in partials)) for k in ("rows", "docs_first", "regions")}
+    hash_total = np.array([p["hash_sum"] for p in partials], dtype=np.int64)
+    record = {
+        "partition": part.name,
+        **asdict(part),
+        "output_rows": total["rows"],
+        "output_docs": total["docs_first"],
+        "ocr_regions": total["regions"],
+        "checksum": hex(int(hash_total.view(np.uint64).sum(dtype=np.uint64))),
+    }
+    tmp_marker = os.path.join(out_dir, f"_tmp{part.marker}")
+    with open(tmp_marker, "w") as f:
+        json.dump(record, f)
+    final = os.path.join(out_dir, part.name)
+    shutil.rmtree(final, ignore_errors=True)
+    os.rename(tmp, final)
+    os.replace(tmp_marker, os.path.join(out_dir, part.marker))
+    return record
 
 
 def _is_committed(out_dir: str, part: Partition) -> bool:
@@ -239,133 +298,72 @@ def run_partitioned(
     config: OcrConfig | None = None,
     concurrency: int | None = None,
     fail_after: int | None = None,
-    max_parallel: int = 2,
 ) -> dict:
-    """Run extraction partition-by-partition with commit markers.
+    """Run extraction over hash partitions, committing each with a marker.
 
-    Each partition is one Ray Data pass ending in :func:`_commit_block`;
-    nothing is materialized, written after it or retried: this process sums
-    the lineage partials, renames the temp dir and writes the marker.
+    Every pending partition goes through ONE Ray Data pass and one OCR actor
+    pool (``concurrency`` actors, default
+    :func:`~.extract.default_concurrency`). The pass reads the partitions'
+    files from the plan-keyed layout (:func:`write_bucketed_input`) as one
+    list in plan order and keeps block order, so a partition's rows all
+    leave it before the next one's. Its last map, :func:`_commit_block`,
+    writes the rows; this process commits a partition (:func:`_commit`:
+    rename, then marker) once a partial of a later one arrives, and the rest
+    when the stream ends. An empty sub-partition commits an empty dir.
 
-    ``max_parallel`` partitions run CONCURRENTLY: a strictly sequential
-    driver loop serializes B x n_subs jobs, and at 100 TB the per-job
-    ramp/teardown tail would dominate.  The actor budget (``concurrency``,
-    default :func:`~.extract.default_concurrency`) is split across in-flight
-    jobs, ``budget // n_jobs`` actors each, sized by
-    :func:`~.extract.pool_resources` (one whole-CPU actor per job for two
-    jobs on 4 CPUs).  Each job's executor reserves CPUs against the whole
-    cluster, not its share, so the jobs' read and write tasks compete for
-    the CPUs their pools leave.  Partitions' output dirs, lineage records
-    and markers are independent, so concurrency cannot change committed
-    bytes; the returned lists are sorted for determinism.
-
-    ``fail_after=k`` injects a crash after k partitions commit (resume
-    tests); it forces sequential execution so "k committed" is exact.
-
-    Returns a summary: partitions run / skipped, total rows, lineage list.
+    ``fail_after=k`` injects a crash after exactly k commits (resume tests),
+    after closing the pass so that its actors free their CPUs. Returns a
+    summary: partitions run / skipped, lineage list.
     """
     from ..state.weights import put_weights
-    from .extract import default_concurrency, load_media_store
+    from .extract import load_media_store
 
     os.makedirs(out_dir, exist_ok=True)
     parts = plan_partitions(docs_path, n_buckets, skew_factor)
-    input_dir = write_bucketed_input(docs_path, out_dir, n_buckets)
-    media_ref = load_media_store(media_path)
-    weights_ref = put_weights()
-
-    if fail_after is not None:
-        max_parallel = 1  # deterministic commit count for the injection
-    todo: list[Partition] = []
-    skipped: list[str] = []
-    for part in parts:
-        if resume and _is_committed(out_dir, part):
-            skipped.append(part.name)
-        else:
-            todo.append(part)
-    n_jobs = min(max_parallel, max(1, len(todo)))
-    budget = concurrency or default_concurrency()
-    per_job = max(1, budget // n_jobs)
-
-    build_lock = threading.Lock()
-
-    def run_one(part: Partition) -> dict:
-        part_docs = (
-            os.path.join(input_dir, f"bucket={part.bucket}")
-            if input_dir
-            else docs_path
-        )
-        # dataset CONSTRUCTION is serialized (concurrent read_parquet path
-        # resolution races on fsspec's optional-module probe); execution —
-        # the expensive part — runs fully concurrently
-        with build_lock:
-            ds = extract_dataset(
-                part_docs,
-                media_ref=media_ref,
-                weights_ref=weights_ref,
-                config=config,
-                concurrency=per_job,
-                pre_filter=_partition_filter(
-                    n_buckets, part, bucketed=input_dir is not None
-                ),
-            )
-        final = os.path.join(out_dir, part.name)
-        tmp = os.path.join(out_dir, f"_tmp_{part.bucket}_{part.sub}")
+    input_dir = write_bucketed_input(docs_path, out_dir, n_buckets, parts)
+    skipped = [p.name for p in parts if resume and _is_committed(out_dir, p)]
+    todo = [p for p in parts if p.name not in skipped]
+    files = []
+    for part in todo:
+        tmp = _tmp_dir(out_dir, part.bucket, part.sub)
         shutil.rmtree(tmp, ignore_errors=True)
         os.makedirs(tmp)
-        partials = (
-            ds.map_batches(
-                _commit_block,
-                fn_kwargs={"tmp_dir": tmp},
-                batch_format="pyarrow",
-                batch_size=None,
-            )
-            .to_pandas()
-            .reindex(columns=["file", "rows", "docs_first", "regions", "hash_sum"])
-        )
-        # a file no partial names is a retried task's leftover
-        for f in set(os.listdir(tmp)) - set(partials["file"]):
-            os.remove(os.path.join(tmp, f))
-        if os.path.exists(final):
-            shutil.rmtree(final)
-        os.rename(tmp, final)
-        hash_total = partials["hash_sum"].to_numpy(np.int64).view(np.uint64)
-        record = {
-            "partition": part.name,
-            "bucket": part.bucket,
-            "sub": part.sub,
-            "n_subs": part.n_subs,
-            "planned_docs": part.planned_docs,
-            "planned_media_spans": part.planned_media_spans,
-            "output_rows": int(partials["rows"].sum()),
-            "output_docs": int(partials["docs_first"].sum()),
-            "ocr_regions": int(partials["regions"].sum()),
-            "checksum": hex(int(hash_total.sum(dtype=np.uint64))),
-        }
-        marker_path = os.path.join(out_dir, part.marker)
-        tmp_marker = marker_path + ".tmp"
-        with open(tmp_marker, "w") as f:
-            json.dump(record, f)
-        os.replace(tmp_marker, marker_path)
-        return record
+        pdir = os.path.join(input_dir, part.name)
+        if os.path.isdir(pdir):  # an empty sub-partition has no input dir
+            files += [os.path.join(pdir, f) for f in sorted(os.listdir(pdir))]
 
-    ran, lineage = [], []
-    if n_jobs <= 1:
-        for part in todo:
-            lineage.append(run_one(part))
-            ran.append(part.name)
-            if fail_after is not None and len(ran) >= fail_after:
+    batches = (b for b in ())  # nothing to read: only empty partitions
+    if files:
+        ds = extract_dataset(
+            files, media_ref=load_media_store(media_path), weights_ref=put_weights(),
+            config=config, concurrency=concurrency,
+        ).map_batches(
+            _commit_block, batch_format="pyarrow", batch_size=None,
+            fn_kwargs={"out_dir": out_dir, "n_buckets": n_buckets,
+                       "subs": {p.bucket: p.n_subs for p in parts}},
+        )
+        ds.context.execution_options.preserve_order = True
+        batches = iter(ds.iter_batches(batch_size=None, batch_format="pyarrow"))
+        del ds  # the iterator holds the pass; closing it ends the pass
+    commits = _ordered_partials(batches, todo)
+    lineage = []
+    try:
+        for part, partials in commits:
+            lineage.append(_commit(out_dir, part, partials))
+            if fail_after is not None and len(lineage) >= fail_after:
                 raise RuntimeError(
                     f"injected failure after {fail_after} partitions"
                 )
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            lineage = list(pool.map(run_one, todo))
-        ran = [p.name for p in todo]
-    lineage.sort(key=lambda r: (r["bucket"], r["sub"]))
+    finally:
+        # the pass's actors keep their CPUs until its iterator is closed, no
+        # frame (a raised exception's included) refers to it, and the cyclic
+        # GC has collected Ray's handles (see pool_resources)
+        commits.close()
+        batches.close()
+        del batches, commits
+        gc.collect()
     return {
-        "ran": sorted(ran),
+        "ran": sorted(r["partition"] for r in lineage),
         "skipped": sorted(skipped),
         "lineage": lineage,
         "out_dir": out_dir,
@@ -384,5 +382,5 @@ def read_extracted(out_dir: str) -> pd.DataFrame:
         pdir = os.path.join(out_dir, rec["partition"])
         frames.append(pq.read_table(pdir).to_pandas())
     if not frames:
-        return pd.DataFrame(columns=["doc_id", "order", "kind", "text", "media_ref"])
+        return pd.DataFrame(columns=COLUMNS)
     return pd.concat(frames, ignore_index=True)

@@ -227,3 +227,120 @@ def test_resume_reruns_partition_missing_a_file(ray_session, paths, tmp_path, ca
     assert victim in caplog.text
     pd.testing.assert_frame_equal(_canon(read_extracted(out)), clean_rows)
     assert {k: r["checksum"] for k, r in _markers(out).items()} == clean
+
+
+def test_one_dataset_per_run_commits_in_plan_order(ray_session, paths, tmp_path, monkeypatch):
+    """Every pending partition, skew sub-splits included, runs through one
+    Dataset (one OCR pool), and the markers land in plan order."""
+    from pytorchocr_ray.pipelines import runner
+
+    docs_path, media_path = paths
+    built = []
+    build = runner.extract_dataset
+    monkeypatch.setattr(
+        runner, "extract_dataset", lambda *a, **k: built.append(a) or build(*a, **k)
+    )
+    out = str(tmp_path / "out")
+    summary = runner.run_partitioned(
+        docs_path, media_path, out, n_buckets=4, skew_factor=0.5, concurrency=2
+    )
+    plan = runner.plan_partitions(docs_path, 4, 0.5)
+    assert len(plan) >= 3 and any(p.n_subs > 1 for p in plan)
+    assert summary["ran"] == sorted(p.name for p in plan)
+    assert len(built) == 1
+    mtimes = [os.stat(os.path.join(out, p.marker)).st_mtime_ns for p in plan]
+    assert mtimes == sorted(mtimes)
+
+
+def test_crashed_run_frees_its_pool(ray_session, paths, tmp_path):
+    """A run that stops after its first commit gives its actors' CPUs back
+    within seconds (an abandoned pass would hold them), and an immediate
+    resume equals the clean run, per-partition checksums included."""
+    import time
+
+    from pytorchocr_ray.pipelines.runner import read_extracted, run_partitioned
+
+    docs_path, media_path = paths
+    kw = dict(n_buckets=4, skew_factor=0.5, concurrency=2)
+    out = str(tmp_path / "out")
+    with pytest.raises(RuntimeError, match="injected failure"):
+        run_partitioned(docs_path, media_path, out, fail_after=1, **kw)
+    cpus = ray_session.cluster_resources()["CPU"]
+    deadline = time.monotonic() + 5
+    while time.monotonic() < deadline:
+        if ray_session.available_resources().get("CPU", 0) == cpus:
+            break
+        time.sleep(0.05)
+    assert ray_session.available_resources().get("CPU", 0) == cpus
+
+    summary = run_partitioned(docs_path, media_path, out, **kw)
+    assert len(summary["skipped"]) == 1
+    clean = str(tmp_path / "clean")
+    run_partitioned(docs_path, media_path, clean, **kw)
+    pd.testing.assert_frame_equal(
+        _canon(read_extracted(out)), _canon(read_extracted(clean))
+    )
+    assert {k: r["checksum"] for k, r in _markers(out).items()} == {
+        k: r["checksum"] for k, r in _markers(clean).items()
+    }
+
+
+def test_killed_run_leaves_only_committed_partitions(ray_session, paths, tmp_path):
+    """SIGKILL the driver process once its first marker appears: every
+    marker's dir holds its rows, no partition dir lacks its marker (a commit
+    is two back-to-back renames), and a resume equals the clean run."""
+    import subprocess
+    import sys
+    import time
+
+    import pyarrow.parquet as pq
+
+    from pytorchocr_ray.pipelines.runner import read_extracted, run_partitioned
+
+    docs_path, media_path = paths
+    kw = dict(n_buckets=8, skew_factor=0.5, concurrency=2)
+    out = str(tmp_path / "out")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = (
+        "import ray, sys\n"
+        f"ray.init(address={ray_session.get_runtime_context().gcs_address!r},"
+        " logging_level='ERROR')\n"
+        "from pytorchocr_ray.pipelines.runner import run_partitioned\n"
+        f"run_partitioned({docs_path!r}, {media_path!r}, {out!r}, **{kw!r})\n"
+    )
+    log = open(tmp_path / "driver.log", "w")
+    proc = subprocess.Popen([sys.executable, "-c", script], cwd=root,
+                            env={**os.environ, "PYTHONPATH": root},
+                            stdout=log, stderr=subprocess.STDOUT)
+    deadline = time.monotonic() + 240
+    try:
+        while not (os.path.isdir(out) and any(
+                f.startswith("_COMMITTED_") for f in os.listdir(out))):
+            assert proc.poll() is None and time.monotonic() < deadline, (
+                (tmp_path / "driver.log").read_text()[-3000:])
+            time.sleep(0.005)
+    finally:
+        proc.kill()
+        proc.wait()
+        log.close()
+
+    recs = _markers(out)
+    assert recs
+    for name, rec in recs.items():
+        pdir = os.path.join(out, name)
+        rows = sum(pq.read_metadata(os.path.join(pdir, f)).num_rows
+                   for f in os.listdir(pdir))
+        assert rows == rec["output_rows"], name
+    dirs = {f for f in os.listdir(out) if f.startswith("part=")}
+    assert dirs <= set(recs)
+
+    summary = run_partitioned(docs_path, media_path, out, **kw)
+    assert sorted(summary["skipped"]) == sorted(recs)
+    clean = str(tmp_path / "clean")
+    run_partitioned(docs_path, media_path, clean, **kw)
+    pd.testing.assert_frame_equal(
+        _canon(read_extracted(out)), _canon(read_extracted(clean))
+    )
+    assert {k: r["checksum"] for k, r in _markers(out).items()} == {
+        k: r["checksum"] for k, r in _markers(clean).items()
+    }
