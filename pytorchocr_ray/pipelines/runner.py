@@ -39,12 +39,11 @@ import pyarrow.parquet as pq
 from ..functions.ocr import OcrConfig
 from .extract import extract_dataset
 
-COLUMNS = ["doc_id", "order", "kind", "text", "media_ref"]
-
 
 def stable_bucket(ids: np.ndarray, n_buckets: int) -> np.ndarray:
-    h = pd.util.hash_array(ids.astype(object))
-    return (h % np.uint64(n_buckets)).astype(np.int64)
+    return (pd.util.hash_array(ids.astype(object)) % np.uint64(n_buckets)).astype(
+        np.int64
+    )
 
 
 def stable_subpart(ids: np.ndarray, n_buckets: int, n_subs) -> np.ndarray:
@@ -176,7 +175,9 @@ def write_bucketed_input(
 
 def result_checksum(df: pd.DataFrame) -> str:
     """Order-insensitive deterministic checksum of the extracted rows."""
-    canon = df[COLUMNS].sort_values(["doc_id", "order"])
+    canon = df[["doc_id", "order", "kind", "text", "media_ref"]].sort_values(
+        ["doc_id", "order"]
+    )
     h = pd.util.hash_pandas_object(canon.reset_index(drop=True), index=False)
     return hex(int(h.sum() & np.uint64(0xFFFFFFFFFFFFFFFF)))
 
@@ -197,7 +198,7 @@ def _commit_block(
     spans, media rows and the wrapping uint64 sum of the row hashes
     (order-insensitive, so the partials of a partition sum to
     :func:`result_checksum` of its rows)."""
-    df = batch.to_pandas()[COLUMNS]
+    df = batch.to_pandas()[["doc_id", "order", "kind", "text", "media_ref"]]
     h = pd.util.hash_pandas_object(df, index=False).to_numpy(np.uint64)
     bucket, sub = partition_of(df["doc_id"].to_numpy(object), n_buckets, subs)
     partials = []
@@ -311,9 +312,11 @@ def run_partitioned(
     rename, then marker) once a partial of a later one arrives, and the rest
     when the stream ends. An empty sub-partition commits an empty dir.
 
-    ``fail_after=k`` injects a crash after exactly k commits (resume tests),
-    after closing the pass so that its actors free their CPUs. Returns a
-    summary: partitions run / skipped, lineage list.
+    ``fail_after=k`` injects a crash after exactly k commits (resume tests);
+    the pass then reads only the first k pending partitions, so the crash
+    wastes no OCR. However the pass ends, its iterator is closed so that
+    its actors free their CPUs. Returns a summary: partitions run /
+    skipped, lineage list.
     """
     from ..state.weights import put_weights
     from .extract import load_media_store
@@ -322,7 +325,7 @@ def run_partitioned(
     parts = plan_partitions(docs_path, n_buckets, skew_factor)
     input_dir = write_bucketed_input(docs_path, out_dir, n_buckets, parts)
     skipped = [p.name for p in parts if resume and _is_committed(out_dir, p)]
-    todo = [p for p in parts if p.name not in skipped]
+    todo = [p for p in parts if p.name not in skipped][:fail_after]
     files = []
     for part in todo:
         tmp = _tmp_dir(out_dir, part.bucket, part.sub)
@@ -350,10 +353,8 @@ def run_partitioned(
     try:
         for part, partials in commits:
             lineage.append(_commit(out_dir, part, partials))
-            if fail_after is not None and len(lineage) >= fail_after:
-                raise RuntimeError(
-                    f"injected failure after {fail_after} partitions"
-                )
+        if fail_after is not None and len(lineage) == fail_after:
+            raise RuntimeError(f"injected failure after {fail_after} partitions")
     finally:
         # the pass's actors keep their CPUs until its iterator is closed, no
         # frame (a raised exception's included) refers to it, and the cyclic
@@ -382,5 +383,5 @@ def read_extracted(out_dir: str) -> pd.DataFrame:
         pdir = os.path.join(out_dir, rec["partition"])
         frames.append(pq.read_table(pdir).to_pandas())
     if not frames:
-        return pd.DataFrame(columns=COLUMNS)
+        return pd.DataFrame(columns=["doc_id", "order", "kind", "text", "media_ref"])
     return pd.concat(frames, ignore_index=True)

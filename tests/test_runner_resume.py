@@ -253,9 +253,10 @@ def test_one_dataset_per_run_commits_in_plan_order(ray_session, paths, tmp_path,
 
 
 def test_crashed_run_frees_its_pool(ray_session, paths, tmp_path):
-    """A run that stops after its first commit gives its actors' CPUs back
-    within seconds (an abandoned pass would hold them), and an immediate
-    resume equals the clean run, per-partition checksums included."""
+    """A run that stops after its first commit wrote no other partition's
+    rows, gives its actors' CPUs back within seconds (a pass whose iterator
+    or actor handles linger would hold them), and an immediate resume
+    equals the clean run, per-partition checksums included."""
     import time
 
     from pytorchocr_ray.pipelines.runner import read_extracted, run_partitioned
@@ -265,6 +266,7 @@ def test_crashed_run_frees_its_pool(ray_session, paths, tmp_path):
     out = str(tmp_path / "out")
     with pytest.raises(RuntimeError, match="injected failure"):
         run_partitioned(docs_path, media_path, out, fail_after=1, **kw)
+    assert not [f for f in os.listdir(out) if f.startswith("_tmp_")]
     cpus = ray_session.cluster_resources()["CPU"]
     deadline = time.monotonic() + 5
     while time.monotonic() < deadline:
