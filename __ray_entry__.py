@@ -98,7 +98,7 @@ def _mulaw_audio_dir(sf_dir: str) -> str:
 
 def _audio_features_mulaw(sf_dir: str) -> Any:
     """COMPRESSED (G.711 mu-law 2:1) WAV payloads through the native
-    table-gather decoder (r5) — expected features from an independent
+    table-gather decoder — expected features from an independent
     per-sample reference expansion (lossy codec, so both decoders must
     agree on the decoded stream bit-for-bit; asserted at synthesis)."""
     import os
@@ -116,7 +116,7 @@ def _audio_features_mulaw(sf_dir: str) -> Any:
 
 def _audio_features_adpcm(sf_dir: str) -> Any:
     """COMPRESSED (IMA-ADPCM 4:1) WAV payloads through the pure-numpy
-    block-vectorized decoder (r5) — the oracle's expected features come
+    block-vectorized decoder — the oracle's expected features come
     from an independent per-sample reference decoder (ADPCM is lossy, so
     both sides must agree on the decoded stream bit-for-bit)."""
     import os
@@ -139,7 +139,7 @@ def _real_video_dir(sf_dir: str) -> str:
 
 
 def _audio_features_real(sf_dir: str) -> Any:
-    """REAL 16-bit PCM WAV payloads through the real decoder (r3)."""
+    """REAL 16-bit PCM WAV payloads through the real decoder."""
     import os
 
     import ray.data as rd
@@ -154,7 +154,7 @@ def _audio_features_real(sf_dir: str) -> Any:
 
 
 def _video_frames_real(sf_dir: str) -> Any:
-    """REAL YUV4MPEG2 payloads through the real decoder (r3)."""
+    """REAL YUV4MPEG2 payloads through the real decoder."""
     import os
 
     import ray.data as rd
@@ -272,128 +272,128 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # text analysis
         "normalize_docs": textstats.normalize_docs,
         "doc_stats": textstats.doc_stats,
-        # token counting by BOTH brief-named rules (r5): whitespace words
+        # token counting by BOTH brief-named rules: whitespace words
         # + a BPE-ish RE2 pre-tokenizer, integer compression-rate proxy
         "bpe_token_count": textstats.bpe_token_count,
         "lang_id": textstats.lang_id,
         "term_freq": textstats.term_freq,
         "fingerprint": textstats.fingerprint,
-        # exact global-quantile quality prune (r4): histogram partials ->
+        # exact global-quantile quality prune: histogram partials ->
         # bounded threshold -> broadcast filter, no sort
         "token_quantile_filter": textstats.token_quantile_filter,
-        # deterministic stratified sample (r4): k docs per lang by LCG
+        # deterministic stratified sample: k docs per lang by LCG
         # scramble — partial top-k per key, <= k rows per (key, block)
         "sample_per_group": sampling.sample_per_group,
-        # weighted priority sample (r5, Duffield-Lund-Thorup): integer
+        # weighted priority sample (Duffield-Lund-Thorup): integer
         # hash // weight priorities, per-block partial top-k, zero
         # corpus shuffle — deterministic weighted draw by n_chars
         "weighted_sample": sampling.weighted_sample,
-        # HyperLogLog distinct-token registers (r4): order-independent
+        # HyperLogLog distinct-token registers: order-independent
         # max() sketch, deterministic -> hash-verified like exact ops
         "distinct_token_sketch": textstats.distinct_token_sketch,
-        # Count-Min frequency sketch (r4): d x w counter table, sums are
+        # Count-Min frequency sketch: d x w counter table, sums are
         # order-independent -> deterministic and hash-verified
         "countmin_sketch": textstats.countmin_sketch,
-        # per-doc TF-IDF keyword extraction (r4): integer idf surrogate,
+        # per-doc TF-IDF keyword extraction: integer idf surrogate,
         # broadcast df map, per-doc top-k
         "tfidf_top_terms": textstats.tfidf_top_terms,
-        # corpus curation (r5): Gopher repetition prune signals — one
+        # corpus curation: Gopher repetition prune signals — one
         # shuffle-free windowed-hash pass, all-integer outputs
         "repetition_stats": curation.repetition_stats,
-        # benchmark 8-gram decontamination (r5): broadcast eval-suite
+        # benchmark 8-gram decontamination: broadcast eval-suite
         # gram set, streaming membership flag over the training side
         "decontaminate": curation.decontaminate,
-        # concat-and-chunk sequence packing (r5): distributed exclusive
+        # concat-and-chunk sequence packing: distributed exclusive
         # prefix sum over per-block summaries — global token offsets
         # without a sort or a driver-side corpus scan
         "pack_sequences": curation.pack_sequences,
-        # temperature language rebalancing (r5): sqrt(n_min/n_lang) keep
+        # temperature language rebalancing: sqrt(n_min/n_lang) keep
         # rate, deterministic LCG keep decision, shuffle-free two-pass
         "lang_rebalance": curation.lang_rebalance,
-        # SemDeDup semantic near-dup (r5): broadcast k-means assignment
+        # SemDeDup semantic near-dup: broadcast k-means assignment
         # + one cid-keyed groupby for in-cluster cosine flags
         "semdedup": curation.semdedup,
-        # passage-level exact dedup (r5, Lee et al. ExactSubstr approx):
+        # passage-level exact dedup (Lee et al. ExactSubstr approx):
         # fixed 10-token windows, dup occurrences removed corpus-wide;
         # two salted exchanges, no driver hash-set materialization
         "passage_dedup": curation.passage_dedup,
-        # content-defined chunking dedup (r5): FastCDC-style rolling-
+        # content-defined chunking dedup: FastCDC-style rolling-
         # hash boundaries, dup chunks counted corpus-wide; two salted
         # integer-row exchanges, shift-robust where fixed windows break
         "cdc_dedup": curation.cdc_dedup,
-        # deterministic per-epoch global shuffle (r5): LCG(doc_id,
+        # deterministic per-epoch global shuffle: LCG(doc_id,
         # epoch) key -> shard + within-shard rank; ONE 24-byte-row
         # exchange, reproducible across runs and cluster sizes
         "epoch_shuffle": curation.epoch_shuffle,
-        # k-means clustering as a first-class result (r5): k-bounded
+        # k-means clustering as a first-class result: k-bounded
         # per-cluster sizes + sorted-member fingerprints over the
         # trained-centroid broadcast assignment
         "kmeans_clusters": curation.kmeans_clusters,
-        # corpus-trained bigram-LM perplexity filter (r5, CCNet-style):
+        # corpus-trained bigram-LM perplexity filter (CCNet-style):
         # integer floor(log2 q) scores, model built AND attached via
         # salted co-partition — the vocabulary never hits the driver
         "lm_perplexity_filter": curation.lm_perplexity_filter,
-        # BM25 lexical top-k (r5): integer-exact Robertson scoring, O(1)
+        # BM25 lexical top-k: integer-exact Robertson scoring, O(1)
         # query-term stats collect, per-block partial top-k
         "bm25_search": lexsearch.bm25_search,
-        # inverted-index build (r5): per-token df/tf + posting-list
+        # inverted-index build: per-token df/tf + posting-list
         # fingerprint via ONE token-salted exchange; output stays
         # vocabulary-bounded (postings verified by fingerprint)
         "inverted_index": lexsearch.inverted_index,
-        # non-equi range join (r5): events binned into static value
+        # non-equi range join: events binned into static value
         # tiers by broadcast searchsorted — zero shuffle, the small-
         # side interval-join shape equality joins can't express
         "range_join_tiers": relational.range_join_tiers,
-        # distributed anti-join (r5, TPC-H Q22 shape): customers with
+        # distributed anti-join (TPC-H Q22 shape): customers with
         # no 'P'-status order — one custkey-salted union exchange,
         # orders side pre-distincted per batch
         "customers_without_orders": relational.customers_without_orders,
-        # cumulative window (r5): per-user running spend — SUM OVER
+        # cumulative window: per-user running spend — SUM OVER
         # (PARTITION ORDER BY) via a user-salted exchange + segment-
         # vectorized cumsum, no per-user loop
         "user_running_total": relational.user_running_total,
-        # long-to-wide pivot (r5): hourly counts per event-type column
+        # long-to-wide pivot: hourly counts per event-type column
         # from per-batch crosstab partials; unknown types -> n_other
         "events_pivot": relational.events_pivot,
-        # GROUP BY ROLLUP (r5): detail + per-type subtotal + grand
+        # GROUP BY ROLLUP: detail + per-type subtotal + grand
         # total, subtotal levels re-aggregated from the detail
         # aggregate (hour-bounded) — never extra corpus passes
         "events_rollup": relational.events_rollup,
-        # BPE tokenizer training (r5): K-bounded word-count collect ->
+        # BPE tokenizer training: K-bounded word-count collect ->
         # serial merge loop (how real trainers run) -> merge table;
         # oracle = INDEPENDENT serial reference fixture
         "bpe_merges": bpe.bpe_merges,
-        # BPE encoding (r5): trained merges broadcast, per-distinct-
+        # BPE encoding: trained merges broadcast, per-distinct-
         # word memo, per-doc symbol counts + sequence fingerprint
         "bpe_encode": bpe.bpe_encode,
-        # entity extraction / explode (r5): one row per email/phone/IP
+        # entity extraction / explode: one row per email/phone/IP
         # occurrence — the flat_map contract over unstructured text
         "extract_entities": pii.extract_entities,
-        # PII redaction (r5): email/phone/IP scrub over the planted-PII
+        # PII redaction: email/phone/IP scrub over the planted-PII
         # table — one vectorized RE2 pass, counts + redacted text
         "pii_redact": pii.pii_redact,
-        # per-source token-budget cap (r5): C4/RefinedWeb-style domain
+        # per-source token-budget cap: C4/RefinedWeb-style domain
         # limiting — one skinny source-salted exchange, running sums
         # vectorized per sorted segment
         "source_budget_cap": curation.source_budget_cap,
-        # deterministic weighted interleave schedule (r5): sqrt-
+        # deterministic weighted interleave schedule: sqrt-
         # temperature source weights, stride-scheduling priorities —
         # the reproducible datasets.interleave_datasets mixing step
         "interleave_mix": curation.interleave_mix,
-        # vocabulary build + token-id encoding (r5): top-K corpus vocab
+        # vocabulary build + token-id encoding: top-K corpus vocab
         # (K-bounded driver materialize), unk id, per-doc id-sequence
         # fingerprint — the word-level tokenizer-training stage
         "vocab_encode": textstats.vocab_encode,
-        # JL sign projection of the embedding column (r5): matrix-free
+        # JL sign projection of the embedding column: matrix-free
         # (LCG-parity entries regenerated per batch), exact-int outputs
         "random_projection": simsearch.random_projection,
-        # image perceptual-hash dedup (r5): actor-pool PNG decode + dHash
+        # image perceptual-hash dedup: actor-pool PNG decode + dHash
         # over the sharded media table, one 8-byte-key groupby; oracle =
         # independent integral-image hasher (fixture parquet)
         "image_dhash_dups": lambda sf: imagededup.image_dhash_dups(
             os.path.join(_corpus_for(sf), "media")
         ),
-        # image NEAR-dup flags (r5): Hamming-banded LSH over the dHash
+        # image NEAR-dup flags: Hamming-banded LSH over the dHash
         # (keep-first rule; flags not pairs — pair mass is quadratic on
         # low-entropy hashes), hot buckets split on complementary-band
         # bits, degenerate pileups skip-and-counted — SQL-mirrored
@@ -402,7 +402,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         ),
         # dedup family
         "dedup_exact": dedup.dedup_exact,
-        # incremental dedup vs a corpus snapshot (r4): Bloom bitset over
+        # incremental dedup vs a corpus snapshot: Bloom bitset over
         # reference fingerprints, broadcast membership flag on new docs
         "bloom_incremental_dedup": dedup.bloom_incremental_dedup,
         "minhash_pairs": dedup.minhash_pairs,
@@ -418,10 +418,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # int8 scalar-quantized variant: exact-integer scores, 4x less
         # data movement than float32 at scale
         "simsearch_sq": simsearch.topk_sq,
-        # product-quantization ADC (r4): m one-byte codes per vector +
+        # product-quantization ADC: m one-byte codes per vector +
         # per-query LUT gather — the deepest-compression scale path
         "simsearch_pq": simsearch.topk_pq,
-        # IVFADC (r4): nprobe-bounded touch set x PQ-bounded touch cost —
+        # IVFADC: nprobe-bounded touch set x PQ-bounded touch cost —
         # the billion-scale layout, both trained fixtures composed
         "simsearch_ivfpq": simsearch.topk_ivfpq,
         # multimodal binary-payload stages (stub decoders, SQL-verified)
@@ -430,11 +430,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # same stages over REAL container payloads (PCM WAV / YUV4MPEG2)
         # through the real decoders; generator-knowledge expected oracle
         "audio_features_real": _audio_features_real,
-        # compressed audio for real (r5): IMA-ADPCM 4:1 WAV via the
+        # compressed audio for real: IMA-ADPCM 4:1 WAV via the
         # in-engine numpy decoder, no optional deps
         "audio_features_adpcm": _audio_features_adpcm,
         # G.711 mu-law compressed audio through the native table-gather
-        # decoder (r5): second compressed codec exercised end to end
+        # decoder: second compressed codec exercised end to end
         "audio_features_mulaw": _audio_features_mulaw,
         "video_frames_real": _video_frames_real,
         # engine evaluation (det IoU + rec accuracy, partial+final agg)
@@ -454,10 +454,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # sliding (hopping) 1h/15min window — integer-cents sums for
         # association-order-proof exactness
         "events_sliding": relational.events_sliding,
-        # per-group exact quantile (r4): histogram partials + per-key
+        # per-group exact quantile: histogram partials + per-key
         # threshold scan, zero driver-side steps
         "events_value_quantile": relational.events_value_quantile,
-        # mergeable float-quantile sketch (r5): bottom-k-by-LCG-hash
+        # mergeable float-quantile sketch: bottom-k-by-LCG-hash
         # uniform value sample — order-independent, so the sketch table
         # itself hash-verifies (KLL compaction is merge-order-dependent
         # and would not; see ops/relational.py for the trade)
@@ -466,7 +466,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "supplier_nation": relational.supplier_nation,
         "sessionize": _sessionize,
         "asof_last_view": _asof_last_view,
-        # funnel / sequential pattern matching (r5): first view ->
+        # funnel / sequential pattern matching: first view ->
         # first later click -> first later purchase per user, strict-
         # time ordering, one user-salted exchange
         "funnel_steps": _funnel_steps,
@@ -475,7 +475,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
 def oracle_sql(sf_dir: str = "/root/testdata/sf0.01") -> dict[str, str]:
     """Oracle SQL per query.  ``sf_dir`` must be the same scale factor the
-    driver runs ``queries()`` at (ADVICE r2: the fixture-backed oracles —
+    driver runs ``queries()`` at (the fixture-backed oracles —
     extraction ground truth, pubtab expected table, audio/video synth
     parquet — are derived from it, not pinned to sf0.01)."""
     from pytorchocr_ray.ops import (
@@ -515,7 +515,7 @@ def oracle_sql(sf_dir: str = "/root/testdata/sf0.01") -> dict[str, str]:
         video_frames_sql,
     )
 
-    # evaluate_engine oracle (round 3, closes the last no_oracle row): the
+    # evaluate_engine oracle: the
     # single-process serial loop over the same per-image integer counters,
     # written as a 1-row parquet — the distributed partial+final aggregate
     # must reproduce it bit-for-bit (integer counter sums are exact)
@@ -609,7 +609,7 @@ def oracle_sql(sf_dir: str = "/root/testdata/sf0.01") -> dict[str, str]:
         "ngram_jaccard_pairs": dedup.ngram_jaccard_pairs_sql(),
         "dedup_clusters": dedup.dedup_clusters_sql(),
         "simsearch_topk": simsearch.topk_bruteforce_sql(),
-        # trained-centroid IVF (r4): the twin reads the same deterministic
+        # trained-centroid IVF: the twin reads the same deterministic
         # k-means centroid parquet the engine trains, so it's sf_dir-bound
         "simsearch_ivf": simsearch.topk_ivf_sql(sf_dir=sf_dir),
         "simsearch_sq": simsearch.topk_sq_sql(),

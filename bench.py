@@ -10,28 +10,28 @@ prints ONE JSON line:
    "queries": {...per-query sec...}, "sf": ..., "num_cpus": N,
    "docs_per_sec": ..., "ocr_cpu_ms_per_image": ...}
 
-The headline extract is the MEDIAN of three timed runs (r4; min-of-2
-before), and every run also reports OCR CPU ms per media span: the OCR
+The headline extract is the MEDIAN of three timed runs, and every
+run also reports OCR CPU ms per media span: the OCR
 operator's CPU time from ``ds.stats()`` over the corpus's media spans —
 the host-noise-insensitive signal: stable CPU ms with inflated wall time
-means host noise, moved CPU ms means a real regression (VERDICT r3 #1).
+means host noise, moved CPU ms means a real regression.
 Each run additionally reports the hypervisor CPU-steal share over its
 window (``steal_pct``, from /proc/stat): this sandbox runs in a VM whose
 host takes up to ~17% of CPU in bursts (measured 2026-08-18), which inflates wall time 20-40%
-with byte-identical code — steal is THE resolved explanation for the
-r3 driver-vs-builder 1.31x headline discrepancy.
+with byte-identical code — steal explained a 1.31x headline gap
+between two runs of the same code.
 
 ``--scaling`` re-runs the harness in fresh subprocesses (num_cpus=8 and 32)
 on the same input and reports throughput at both plus scaling efficiency
 = (t_8 / t_32) / (32 / 8).  The efficiency is the MEDIAN of three
-independent 8/32 pairs (round 3: four same-code round-2 runs spread
+independent 8/32 pairs (four same-code runs spread
 0.66-0.925 from host noise — a single pair is not a reproducible
 measurement).  Pair 1 runs the full harness (its per-query tables land in
 BASELINE.md); pairs 2-3 set BENCH_EXTRACT_ONLY=1, which skips the ops
 queries so a repeat pair only pays the headline extract.  It also
 refreshes the measured-results section in BASELINE.md.
 
-r5 (VERDICT r4 #5): pairs are STEAL-GATED — a pair whose in-band
+Pairs are STEAL-GATED — a pair whose in-band
 /proc/stat steal exceeds BENCH_STEAL_GATE (default 5%) is redrawn up to
 BENCH_STEAL_REDRAWS (default 2) times; every raw attempt (including the
 rejected ones) is recorded in the output and in BASELINE.md, so the
@@ -118,8 +118,8 @@ def run_bench() -> dict:
 
     # untimed warmup: a small end-to-end extract warms worker-import page
     # cache, weight construction, and the media shard files — the cold-run
-    # share of these was the main suspect for the round-1 driver-vs-builder
-    # bench spread (VERDICT r1 #4)
+    # share of these was the main suspect for the spread between two
+    # same-code bench readings
     warm_n = max(200, n_docs // 20)
     warm_corpus = generate_corpus_ray(
         corpus_path(warm_n, 42), n_docs=warm_n, seed=42
@@ -132,9 +132,9 @@ def run_bench() -> dict:
 
     # a cache-miss corpus generation writes GBs to /tmp right before the
     # timed runs; flush the dirty pages NOW so writeback doesn't steal
-    # bandwidth mid-measurement (a prime suspect for the r3 driver-vs-
-    # builder 1.31x headline spread: the driver always regenerates after a
-    # code change, the builder usually has a warm cache)
+    # bandwidth mid-measurement (a prime suspect for a 1.31x headline
+    # spread between a run that regenerated the corpus after a code
+    # change and one with a warm cache)
     os.sync()
     time.sleep(2)
 
@@ -146,8 +146,8 @@ def run_bench() -> dict:
         ds.write_parquet(out_dir)
         return ds
 
-    # median-of-3 (VERDICT r3 #1: min-of-2 left the driver reading exposed
-    # to host noise); per-run OCR CPU ms per media span recorded alongside
+    # median-of-3 (min-of-2 left the reading exposed to host noise);
+    # per-run OCR CPU ms per media span recorded alongside
     # so a noisy-host run is self-diagnosing (stable CPU ms + inflated wall
     # time = host noise, moved CPU ms = real regression)
     cpu_ms_runs: list[float] = []
@@ -189,8 +189,8 @@ def run_bench() -> dict:
     timed("minhash_pairs", lambda: dedup.minhash_pairs(SF_DIR).count())
     timed("simsearch_topk", lambda: simsearch.topk_bruteforce(SF_DIR).to_pandas())
     timed("simsearch_pq", lambda: simsearch.topk_pq(SF_DIR).to_pandas())
-    # r5: residual IVFADC (the changed default) + the new float-quantile
-    # sketch + the native compressed-audio path — every r5 op benched
+    # residual IVFADC (the default), the float-quantile sketch and the
+    # native compressed-audio path
     timed("simsearch_ivfpq", lambda: simsearch.topk_ivfpq(SF_DIR).to_pandas())
     timed(
         "value_quantile_sketch",
@@ -228,7 +228,7 @@ def run_bench() -> dict:
         "bloom_incremental",
         lambda: dedup.bloom_incremental_dedup(SF_DIR).count(),
     )
-    # r5 curation ops: repetition prune signals, benchmark-overlap
+    # curation ops: repetition prune signals, benchmark-overlap
     # decontamination, concat-and-chunk packing (two-pass prefix sum)
     from pytorchocr_ray.ops import curation
 
@@ -380,10 +380,10 @@ def dedup_exact_count(dedup, sf_dir):
 
 
 SCALING_PAIRS = int(os.environ.get("BENCH_SCALING_PAIRS", "3"))
-# steal gate (r5, VERDICT r4 #5): a pair whose in-band hypervisor steal
-# exceeds this share is re-drawn (bounded retries) — the r4 evidence
-# showed pair efficiencies ordering exactly by their steal windows, so
-# counting a 17%-steal pair measures the hypervisor, not the code.  All
+# steal gate: a pair whose in-band hypervisor steal exceeds this share
+# is re-drawn (bounded retries) — measured pair efficiencies ordered
+# exactly by their steal windows, so counting a 17%-steal pair measures
+# the hypervisor, not the code.  All
 # raw attempts are still recorded unfiltered in the result.
 STEAL_GATE_PCT = float(os.environ.get("BENCH_STEAL_GATE", "5"))
 STEAL_REDRAWS = int(os.environ.get("BENCH_STEAL_REDRAWS", "2"))

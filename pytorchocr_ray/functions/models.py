@@ -191,30 +191,6 @@ class RecModel:
             return p
         return self._logits(_window_stack(norm, self.stride))
 
-    def forward_many(self, crops: list[np.ndarray]) -> list[np.ndarray]:
-        """Dense cross-crop batching: stack every crop's windows into ONE
-        matmul (the Ray-era answer to the reference's width-bucketed batches,
-        pytocr/data/imaug/rec_img_aug.py:55-106 — no padding waste at all)."""
-        wins_list: list[np.ndarray | None] = []
-        for crop in crops:
-            norm = rec_prepare(crop)
-            wins_list.append(None if norm is None else _window_stack(norm, self.stride))
-        real = [w for w in wins_list if w is not None]
-        if real:
-            stacked = np.concatenate(real, axis=0)
-            probs = self._logits(stacked)
-        outs: list[np.ndarray] = []
-        pos = 0
-        blank = np.zeros((1, self.tmpl_flat.shape[0] + 1), dtype=np.float32)
-        blank[0, 0] = 1.0
-        for w in wins_list:
-            if w is None:
-                outs.append(blank)
-            else:
-                outs.append(probs[pos : pos + len(w)])
-                pos += len(w)
-        return outs
-
 
 class ClsModel:
     """0-vs-180 orientation head. Score = mean of per-timestep best template

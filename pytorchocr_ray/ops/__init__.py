@@ -7,13 +7,16 @@ aggregation before any groupby shuffle, broadcast for small sides.
 :func:`co_partition` is the one keyed exchange: every operator that needs
 all rows of a key in one place (a join side, a hash class, a user's
 events) goes through it, and only it decides the group count, the key
-hash, how the sides are tagged and the block format.
+hash, how the sides are tagged and the block format.  :func:`top_k` is
+the one ranked selection built on it: the first ``k`` rows of each key
+(or of the whole input) by an ordering, with a 1-based ``rank``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 
 _SMALL_FILE_BYTES = 64 * 1024 * 1024
@@ -167,3 +170,49 @@ def co_partition(fn, **sides):
         return fn(**frames)
 
     return u.groupby(_SALT).map_groups(close, batch_format="pyarrow")
+
+
+def _head_k(t: pa.Table, key: list[str], order, k: int) -> pa.Table:
+    """The first ``k`` rows of every key by ``order``, numbered 1.. in an
+    int64 ``rank``: one stable sort on key + order, then each row's
+    position within its key's run; no Python call per key."""
+    by = [(c, "ascending") for c in key]
+    by += [(c, "ascending" if asc else "descending") for c, asc in order]
+    t = t.take(pc.sort_indices(t, sort_keys=by))  # Arrow's sort is stable
+    run_start = np.zeros(t.num_rows, dtype=bool)
+    run_start[:1] = True
+    for c in key:
+        v = t[c].to_numpy()
+        run_start[1:] |= v[1:] != v[:-1]
+    row = np.arange(t.num_rows)
+    pos = row - np.maximum.accumulate(np.where(run_start, row, 0))
+    keep = pos < k
+    return t.filter(pa.array(keep)).append_column("rank", pa.array(pos[keep] + 1))
+
+
+def top_k(ds, key, order, k: int, schema):
+    """The first ``k`` rows of each ``key`` by ``order``, ranked 1..k.
+
+    ``key`` is a column, a list of columns (int64 or string) or ``None``
+    for one global top-k; ``order`` a list of ``(column, ascending)``
+    pairs, ending with an id column that breaks every tie; ``schema`` the
+    input columns as :func:`co_partition` takes them.  Every block keeps
+    only its own top-k per key, so the exchange carries at most ``k`` rows
+    per (key, block), and one :func:`co_partition` call closes the rest
+    out with the same head-k.  Returns the schema's columns plus an int64
+    ``rank``."""
+    key = [] if key is None else [key] if isinstance(key, str) else list(key)
+    schema = pa.schema(schema)
+
+    def partial(batch: pa.Table) -> pa.Table:
+        return _head_k(batch.select(schema.names).cast(schema), key, order, k)
+
+    def close(rows) -> pa.Table:
+        # no pandas metadata: Ray cannot hash a schema that carries it
+        rows = pa.Table.from_pandas(rows, schema=schema, preserve_index=False)
+        return _head_k(rows.replace_schema_metadata(), key, order, k)
+
+    return co_partition(
+        close,
+        rows=(ds.map_batches(partial, batch_format="pyarrow"), key, schema),
+    )

@@ -1134,8 +1134,9 @@ def _cc_min_labels(edges, max_rounds: int = 50):
             "owners": (labels, "node", node_label),
             "edges": (edges, "u", {"u": pa.int64(), "v": pa.int64()}),
         }
-        # jump skipped in round 1: init labels are 1-hop minima, so the
-        # first jump adds nothing for the common shallow dup graph
+        # jump skipped in the first iteration: init labels are 1-hop
+        # minima, so the first jump adds nothing for the common shallow
+        # dup graph
         if rounds > 1:
             sides["jumps"] = (labels, "label", node_label)
         labels = (

@@ -37,7 +37,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from . import co_partition, read
+from . import co_partition, read, top_k
 from .hashing import sql_tokens
 
 S = 1000  # fixed-point scale for k1 / b
@@ -158,33 +158,15 @@ def bm25_search(sf_dir: str, terms: tuple[str, ...] = BM25_QUERY, k: int = 10):
             score += idf[t] * part
         ids = np.asarray(batch["doc_id"].to_pylist(), dtype=np.int64)
         keep = score > 0
-        g = pd.DataFrame({"doc_id": ids[keep], "score": score[keep]})
-        # per-block partial top-k (same tie rule as the final rank)
-        g = g.sort_values(
-            ["score", "doc_id"], ascending=[False, True]
-        ).head(k)
-        g["g"] = np.int32(0)
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return pa.table({"doc_id": ids[keep], "score": score[keep]})
 
-    def final_topk(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(
-            ["score", "doc_id"], ascending=[False, True]
-        ).head(k)
-        g = g.reset_index(drop=True)
-        out = pd.DataFrame(
-            {
-                "rank": np.arange(1, len(g) + 1, dtype=np.int64),
-                "doc_id": g["doc_id"].to_numpy(np.int64),
-                "score": g["score"].to_numpy(np.int64),
-            }
-        )
-        return out
-
-    return (
-        ds.map_batches(score_block, batch_format="pyarrow")
-        .groupby("g")  # <= k rows per block reach this point
-        .map_groups(final_topk, batch_format="pandas")
-    )
+    return top_k(
+        ds.map_batches(score_block, batch_format="pyarrow"),
+        None,
+        [("score", False), ("doc_id", True)],
+        k,
+        {"doc_id": pa.int64(), "score": pa.int64()},
+    ).select_columns(["rank", "doc_id", "score"])
 
 
 def bm25_search_sql(

@@ -18,7 +18,7 @@ LCG-chosen token positions (~3/4 of docs get one, ~1/5 of those a
 second).  Both the engine and the SQL twin read the SAME fixture
 parquet — the fixture is the input contract, not the oracle — cached
 under /tmp keyed by the source table's content signature + this
-module's source (the ADVICE-r4 cache discipline).  At production scale
+module's source.  At production scale
 the op runs directly over the raw documents table; everything
 Ray-side (column pruning, batch kernel, zero shuffles) is the real
 deployment shape.
@@ -146,7 +146,7 @@ FROM read_parquet('{path}')
 """
 
 
-# -------------------------------------------- entity extraction (r5)
+# ------------------------------------------------- entity extraction
 #
 # The EXPLODE shape over unstructured text: one input document fans out
 # to one row per extracted entity occurrence — the flat_map contract

@@ -14,7 +14,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from . import co_partition, read
+from . import co_partition, read, top_k
 
 
 def _cents(col) -> np.ndarray:
@@ -213,20 +213,23 @@ FROM customer ORDER BY c_acctbal DESC, c_custkey ASC LIMIT {k}
 
 def top_orders_per_customer(sf_dir: str, k: int = 2):
     """Per-group top-k (the ROW_NUMBER window shape): each customer's k
-    highest-value orders. groupby(key).map_groups with an in-group sort —
-    never a global sort."""
+    highest-value orders, through :func:`ops.top_k` — never a global sort.
+    Ranks on the raw price and rounds only after: rounding first would
+    change which order wins a tie."""
     ds = read(sf_dir, "orders", columns=["o_custkey", "o_orderkey", "o_totalprice"])
 
-    def per_group(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(
-            ["o_totalprice", "o_orderkey"], ascending=[False, True], kind="stable"
-        ).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        g["o_totalprice"] = g["o_totalprice"].round(2)
-        return g[["o_custkey", "o_orderkey", "o_totalprice", "rank"]]
+    def round_price(batch: pd.DataFrame) -> pd.DataFrame:
+        batch["o_totalprice"] = batch["o_totalprice"].round(2)
+        return batch
 
-    return ds.groupby("o_custkey").map_groups(per_group, batch_format="pandas")
+    ranked = top_k(
+        ds,
+        "o_custkey",
+        [("o_totalprice", False), ("o_orderkey", True)],
+        k,
+        {"o_custkey": pa.int64(), "o_orderkey": pa.int64(), "o_totalprice": pa.float64()},
+    )
+    return ranked.map_batches(round_price, batch_format="pandas")
 
 
 def top_orders_per_customer_sql(k: int = 2) -> str:
@@ -583,9 +586,8 @@ def value_quantile_sketch(sf_dir: str, k: int = SKETCH_K):
 
     ds = read(sf_dir, "events", columns=["event_id", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        ids = df["event_id"].to_numpy(np.int64)
+    def scramble(batch: pa.Table) -> pa.Table:
+        ids = batch["event_id"].to_numpy()
         # same enforced precondition as sample_per_group: id*A must not
         # wrap int64 where the DuckDB twin would raise instead
         if len(ids) and int(ids.max()) >= 1 << 32:
@@ -593,21 +595,16 @@ def value_quantile_sketch(sf_dir: str, k: int = SKETCH_K):
                 "value_quantile_sketch requires event_id < 2^32 (got "
                 f"{int(ids.max())}); pre-reduce ids mod {SAMPLE_M}"
             )
-        df["u"] = (ids * SAMPLE_A + SAMPLE_C) % SAMPLE_M
-        df = df.sort_values(["u", "event_id"]).head(k)
-        df["g"] = np.zeros(len(df), dtype=np.int32)
-        return pa.Table.from_pandas(df, preserve_index=False)
+        return batch.append_column("u", pa.array((ids * SAMPLE_A + SAMPLE_C) % SAMPLE_M))
 
-    def final(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["u", "event_id"]).head(k).reset_index(drop=True)
-        g["rn"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[["rn", "event_id", "u", "value"]]
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("g")
-        .map_groups(final, batch_format="pandas")
+    ranked = top_k(
+        ds.map_batches(scramble, batch_format="pyarrow"),
+        None,
+        [("u", True), ("event_id", True)],
+        k,
+        {"event_id": pa.int64(), "u": pa.int64(), "value": pa.float64()},
     )
+    return ranked.rename_columns({"rank": "rn"}).select_columns(["rn", "event_id", "u", "value"])
 
 
 def value_quantile_sketch_sql(k: int = SKETCH_K) -> str:

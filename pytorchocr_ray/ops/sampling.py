@@ -37,9 +37,9 @@ def train_val_split(ds, val_ratio: float = 0.1, seed: int = 2022):
 # pipeline uses to cap any one source's contribution.  Determinism comes
 # from ordering by an LCG scramble of doc_id instead of an RNG, which
 # makes the sample reproducible across runs/cluster sizes AND value-exact
-# against a SQL twin.  Distribution shape: per-batch partial top-k per
-# key (the shuffle carries <= k rows per (key, block), never the corpus),
-# then a per-key merge.
+# against a SQL twin.  Distribution shape: :func:`ops.top_k` on the
+# language (the shuffle carries <= k rows per (key, block), never the
+# corpus).
 
 SAMPLE_A = 1103515245  # classic LCG multiplier (glibc)
 SAMPLE_C = 12345
@@ -51,41 +51,33 @@ def sample_per_group(sf_dir: str, k: int = 10):
     scrambled-id order — a deterministic stratified sample.  Exact twin
     in :func:`sample_per_group_sql`."""
     import numpy as np
-    import pandas as pd
     import pyarrow as pa
 
-    from . import read
+    from . import read, top_k
 
     ds = read(sf_dir, "documents", columns=["doc_id", "lang"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        ids = df["doc_id"].to_numpy(np.int64)
-        # precondition ENFORCED (r5, ADVICE r4): id*A must stay < 2^63 —
-        # beyond it numpy int64 wraps silently while the DuckDB twin
-        # raises on BIGINT overflow, a quiet engine/oracle divergence.
-        # For wider id spaces reduce ids mod SAMPLE_M first (both sides).
+    def scramble(batch: pa.Table) -> pa.Table:
+        ids = batch["doc_id"].to_numpy()
+        # precondition enforced: id*A must stay < 2^63 — beyond it numpy
+        # int64 wraps silently while the DuckDB twin raises on BIGINT
+        # overflow, a quiet engine/oracle divergence.  For wider id
+        # spaces reduce ids mod SAMPLE_M first (both sides).
         if len(ids) and int(ids.max()) >= 1 << 32:
             raise ValueError(
                 "sample_per_group requires doc_id < 2^32 (got "
                 f"{int(ids.max())}); pre-reduce ids mod {SAMPLE_M}"
             )
-        df["h"] = (ids * SAMPLE_A + SAMPLE_C) % SAMPLE_M
-        df = df.sort_values(["lang", "h", "doc_id"])
-        return pa.Table.from_pandas(
-            df.groupby("lang", as_index=False).head(k), preserve_index=False
-        )
+        return batch.append_column("h", pa.array((ids * SAMPLE_A + SAMPLE_C) % SAMPLE_M))
 
-    def merge(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["h", "doc_id"]).head(k).reset_index(drop=True)
-        g["rn"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[["doc_id", "lang", "rn"]]
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("lang")
-        .map_groups(merge, batch_format="pandas")
+    ranked = top_k(
+        ds.map_batches(scramble, batch_format="pyarrow"),
+        "lang",
+        [("h", True), ("doc_id", True)],
+        k,
+        {"doc_id": pa.int64(), "lang": pa.string(), "h": pa.int64()},
     )
+    return ranked.rename_columns({"rank": "rn"}).select_columns(["doc_id", "lang", "rn"])
 
 
 def sample_per_group_sql(k: int = 10) -> str:
@@ -101,7 +93,7 @@ WHERE rn <= {k}
 """
 
 
-# --------------------------------------- weighted priority sample (r5)
+# --------------------------------------------- weighted priority sample
 #
 # Deterministic WEIGHTED sampling without replacement — the companion to
 # sample_per_group's uniform stratified draw: pick k documents with
@@ -113,8 +105,8 @@ WHERE rn <= {k}
 # and the priority stays an exact integer (hash // weight) so the
 # DuckDB twin matches value-for-value — no float u^(1/w) drift.
 #
-# Scale shape: zero shuffle of the corpus — every block emits only its
-# own k smallest priorities (partial top-k), the close-out sees
+# Scale shape: zero shuffle of the corpus — :func:`ops.top_k` keeps only
+# each block's own k smallest priorities, so the close-out sees
 # <= k x blocks rows.  Zero-length docs get weight 1 (division guard,
 # both sides).
 
@@ -125,55 +117,32 @@ def weighted_sample(sf_dir: str, k: int = 100):
     doc_id ASC).  Value-exact DuckDB twin in
     :func:`weighted_sample_sql`."""
     import numpy as np
-    import pandas as pd
     import pyarrow as pa
 
-    from . import read
+    from . import read, top_k
 
     ds = read(sf_dir, "documents", columns=["doc_id", "n_chars"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def priority(batch: pa.Table) -> pa.Table:
         ids = np.asarray(batch["doc_id"].to_pylist(), dtype=np.int64)
         if len(ids) and int(ids.max()) >= 1 << 32:
             raise ValueError(
                 "weighted_sample requires doc_id < 2^32 (LCG product "
                 "must stay inside int64; reduce ids mod SAMPLE_M first)"
             )
-        w = np.maximum(
-            1, np.asarray(batch["n_chars"].to_pylist(), dtype=np.int64)
-        )
+        n_chars = np.asarray(batch["n_chars"].to_pylist(), dtype=np.int64)
         h = (ids * SAMPLE_A + SAMPLE_C) % SAMPLE_M
-        prio = h // w
-        g = pd.DataFrame(
-            {
-                "doc_id": ids,
-                "n_chars": np.asarray(
-                    batch["n_chars"].to_pylist(), dtype=np.int64
-                ),
-                "priority": prio,
-            }
-        )
-        g = g.sort_values(["priority", "doc_id"]).head(k)
-        g["g"] = np.int32(0)
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    def close(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["priority", "doc_id"]).head(k)
-        g = g.reset_index(drop=True)
-        return pd.DataFrame(
-            {
-                "rank": np.arange(1, len(g) + 1, dtype=np.int64),
-                "doc_id": g["doc_id"].to_numpy(np.int64),
-                "n_chars": g["n_chars"].to_numpy(np.int64),
-                "priority": g["priority"].to_numpy(np.int64),
-            }
+        return pa.table(
+            {"doc_id": ids, "n_chars": n_chars, "priority": h // np.maximum(1, n_chars)}
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("g")  # <= k rows per block reach this point
-        .map_groups(close, batch_format="pandas")
-    )
+    return top_k(
+        ds.map_batches(priority, batch_format="pyarrow"),
+        None,
+        [("priority", True), ("doc_id", True)],
+        k,
+        {"doc_id": pa.int64(), "n_chars": pa.int64(), "priority": pa.int64()},
+    ).select_columns(["rank", "doc_id", "n_chars", "priority"])
 
 
 def weighted_sample_sql(k: int = 100) -> str:

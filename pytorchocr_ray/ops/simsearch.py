@@ -14,10 +14,9 @@
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
-from . import read
+from . import read, top_k
 
 
 def _normalize(m: np.ndarray) -> np.ndarray:
@@ -40,6 +39,30 @@ def _load_queries(sf_dir: str, nq: int) -> tuple[np.ndarray, np.ndarray]:
     return df["vec_id"].to_numpy(np.int64), q
 
 
+def _pairs(qids, vids, scores, name="score", mask=None) -> pa.Table:
+    """One (query_id, vec_id, ``name``) row per cell of a (nq, B) score
+    matrix, only where ``mask`` holds."""
+    qi, vi = np.nonzero(np.ones(scores.shape, bool) if mask is None else mask)
+    return pa.table({"query_id": qids[qi], "vec_id": vids[vi], name: scores[qi, vi]})
+
+
+def _rank_per_query(scored, k: int, name: str, typ, ascending: bool):
+    """(query_id, vec_id, rank): each query's ``k`` best vectors by
+    ``name``, ties broken by vec_id ascending."""
+    schema = {"query_id": pa.int64(), "vec_id": pa.int64(), name: typ}
+    ranked = top_k(scored, "query_id", [(name, ascending), ("vec_id", True)], k, schema)
+    return ranked.select_columns(["query_id", "vec_id", "rank"])
+
+
+def _probe_mask(qc: np.ndarray, nprobe: int) -> np.ndarray:
+    """(nq, C) bool: each query's ``nprobe`` most similar centroids, ties
+    to the lowest cid (the SQL twins' ORDER BY cos DESC, cid ASC)."""
+    mask = np.zeros(qc.shape, dtype=bool)
+    near = np.argsort(-qc, axis=1, kind="stable")[:, :nprobe]
+    np.put_along_axis(mask, near, True, axis=1)
+    return mask
+
+
 def topk_bruteforce(sf_dir: str, k: int = 5, nq: int = 8):
     """Exact cosine top-k for the first ``nq`` vectors as queries.
 
@@ -52,38 +75,14 @@ def topk_bruteforce(sf_dir: str, k: int = 5, nq: int = 8):
     q_ref = ray.put((qids, qmat))
     ds = read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
-    def partial_topk(batch: pa.Table) -> pa.Table:
+    def score(batch: pa.Table) -> pa.Table:
         ids, q = ray.get(q_ref)
         emb = _normalize(np.asarray(batch["embedding"].to_pylist(), dtype=np.float64))
         vids = np.asarray(batch["vec_id"].to_pylist(), dtype=np.int64)
-        sims = q @ emb.T  # (nq, B)
-        out_q, out_v, out_s = [], [], []
-        kk = min(k, sims.shape[1])
-        for qi in range(len(ids)):
-            s = sims[qi]
-            idx = np.lexsort((vids, -s))[:kk]
-            out_q.extend([ids[qi]] * len(idx))
-            out_v.extend(vids[idx].tolist())
-            out_s.extend(s[idx].tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, pa.int64()),
-                "vec_id": pa.array(out_v, pa.int64()),
-                "score": pa.array(out_s, pa.float64()),
-            }
-        )
+        return _pairs(ids, vids, q @ emb.T)
 
-    def final_topk(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["score", "vec_id"], ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[["query_id", "vec_id", "rank"]]
-
-    return (
-        ds.map_batches(partial_topk, batch_format="pyarrow")
-        .groupby("query_id")
-        .map_groups(final_topk, batch_format="pandas")
-    )
+    scored = ds.map_batches(score, batch_format="pyarrow")
+    return _rank_per_query(scored, k, "score", pa.float64(), ascending=False)
 
 
 def topk_bruteforce_sql(k: int = 5, nq: int = 8) -> str:
@@ -135,8 +134,8 @@ def _load_quantized(sf_dir: str, upto: int) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-# r5: 512 (was 256) — the strided sampler spreads these rows over the
-# whole corpus instead of consuming the head, and the k-means cost
+# 512 rows: the strided sampler spreads these rows over the whole
+# corpus instead of consuming the head, and the k-means cost
 # (sample x C) stays trivial; still a bounded driver-side sample at 100 TB
 IVF_SAMPLE = 512
 IVF_ITERS = 8
@@ -146,8 +145,8 @@ def _content_sig(sf_dir: str) -> str:
     """Cheap content signature of the corpus (size + mtime of
     embeddings.parquet), folded into every trained-fixture cache tag so
     regenerating the corpus IN PLACE at the same path busts the cache
-    (ADVICE r4: the path+params+source key silently reused stale
-    quantizers after an in-place rewrite)."""
+    (a path+params+source key alone silently reused stale quantizers
+    after an in-place rewrite)."""
     import os
 
     st = os.stat(os.path.join(sf_dir, "embeddings.parquet"))
@@ -157,15 +156,15 @@ def _content_sig(sf_dir: str) -> str:
 def _load_train_sample(
     sf_dir: str, sample_n: int, mode: str = "strided"
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Corpus-wide deterministic training sample (VERDICT r4 #2): stride
-    over the dense vec_id space (keep ``vec_id % stride == 0``) so every
-    id range contributes rows — a corpus sorted/clustered by source no
+    """Corpus-wide deterministic training sample: stride over the dense
+    vec_id space (keep ``vec_id % stride == 0``) so every id range
+    contributes rows — a corpus sorted/clustered by source no
     longer trains the quantizers on one stratum, and the sample is still
     a pure function of the corpus (no RNG), so the trained fixtures stay
     SQL-twinnable.  The scan is one column-pruned streaming pass with the
     modulo filter applied per record batch (memory bounded by the kept
-    rows).  ``mode="head"`` keeps the r4 first-rows behavior — used only
-    by the skew-bias regression test as the strawman."""
+    rows).  ``mode="head"`` keeps the earlier first-rows sample — used
+    only by the skew-bias regression test as the strawman."""
     if mode == "head":
         return _load_quantized(sf_dir, sample_n)
     import pyarrow.dataset as pds
@@ -202,13 +201,13 @@ def train_ivf_centroids(
     """Deterministic Lloyd's k-means over a strided corpus-wide sample
     -> centroids parquet path (``cid``, ``qd list<int64>``).
 
-    Round 4 (VERDICT r3 #5): replaces the first-``n_centroids``-rows
-    quantizer — honest but skew-blind — with trained centroids.  Round 5
-    (VERDICT r4 #2): the training sample strides the whole corpus instead
-    of taking the head rows.  Fully deterministic (strided sample,
-    first-k init, fixed iteration count, integer-quantized updates) so
-    the DuckDB twin can read the SAME centroid table from this parquet
-    and reproduce assignment, probing and ranking value-exactly.  Cached
+    Trained centroids replace a first-``n_centroids``-rows quantizer,
+    which is honest but skew-blind, and the training sample strides the
+    whole corpus instead of taking the head rows.  Fully deterministic
+    (strided sample, first-k init, fixed iteration count,
+    integer-quantized updates) so the DuckDB twin can read the SAME
+    centroid table from this parquet and reproduce assignment, probing
+    and ranking value-exactly.  Cached
     under /tmp keyed by params + the module source + a corpus content
     signature (auto-busts on edit OR in-place data regen), with a
     ``_SUCCESS`` marker for crash safety — training is driver-side on the
@@ -242,7 +241,7 @@ def train_ivf_centroids(
             members = x[assign == c]
             if len(members):
                 # integer-quantized update: the stored centroid is exactly
-                # what the SQL twin reads back.  Guard (ADVICE r4): a
+                # what the SQL twin reads back.  Guard: a
                 # floored mean that cancels to the zero vector would make
                 # _qcos emit NaN (0/0) and silently diverge from the SQL
                 # twin's NULL ordering — keep the previous centroid.
@@ -288,50 +287,23 @@ def topk_ivf(
 
     qids, qmat = _load_quantized(sf_dir, nq)
     cent = _load_centroids(train_ivf_centroids(sf_dir, n_centroids))
-    state = ray.put((qids, qmat, cent))
+    state = ray.put((qids, qmat, cent, _probe_mask(_qcos(qmat, cent), nprobe)))
 
     ds = read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
     def assign_and_score(batch: pa.Table) -> pa.Table:
-        ids, q, c = ray.get(state)
+        ids, q, c, pmask = ray.get(state)
         emb = _quantize(np.asarray(batch["embedding"].to_pylist(), dtype=np.float64))
         vids = np.asarray(batch["vec_id"].to_pylist(), dtype=np.int64)
-        vc = _qcos(emb, c)  # (B, C)
         # first max = lowest centroid id on ties (matches SQL ORDER BY
         # cos DESC, cid ASC LIMIT 1)
-        vb = vc.argmax(axis=1)
-        qc = _qcos(q, c)  # (nq, C)
-        out_q, out_v, out_s = [], [], []
-        for qi in range(len(ids)):
-            probe = np.lexsort((np.arange(c.shape[0]), -qc[qi]))[:nprobe]
-            mask = np.isin(vb, probe)
-            if not mask.any():
-                continue
-            s = _qcos(q[qi : qi + 1], emb[mask])[0]
-            sub_ids = vids[mask]
-            idx = np.lexsort((sub_ids, -s))[: min(k, len(sub_ids))]
-            out_q.extend([ids[qi]] * len(idx))
-            out_v.extend(sub_ids[idx].tolist())
-            out_s.extend(s[idx].tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, pa.int64()),
-                "vec_id": pa.array(out_v, pa.int64()),
-                "score": pa.array(out_s, pa.float64()),
-            }
-        )
+        vb = _qcos(emb, c).argmax(axis=1)
+        # every dot is an exact integer, so one (nq, B) matrix scores each
+        # pair bit-identically to a per-query call
+        return _pairs(ids, vids, _qcos(q, emb), mask=pmask[:, vb])
 
-    def final_topk(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["score", "vec_id"], ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[["query_id", "vec_id", "rank"]]
-
-    return (
-        ds.map_batches(assign_and_score, batch_format="pyarrow")
-        .groupby("query_id")
-        .map_groups(final_topk, batch_format="pandas")
-    )
+    scored = ds.map_batches(assign_and_score, batch_format="pyarrow")
+    return _rank_per_query(scored, k, "score", pa.float64(), ascending=False)
 
 
 def topk_ivf_sql(
@@ -387,7 +359,7 @@ WHERE rank <= {k}
 """
 
 
-# ------------------------------------------- scalar quantization (r3)
+# ------------------------------------------------ scalar quantization
 
 
 SQ_SCALE = 127  # int8 range: 4x less data movement than float32 at scale
@@ -421,40 +393,17 @@ def topk_sq(sf_dir: str, k: int = 5, nq: int = 8):
     q_ref = ray.put((qids, qmat))
     ds = read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
-    def partial_topk(batch: pa.Table) -> pa.Table:
+    def score(batch: pa.Table) -> pa.Table:
         ids, q = ray.get(q_ref)
         emb = _quantize_sq(
             np.asarray(batch["embedding"].to_pylist(), dtype=np.float64)
         )
         vids = np.asarray(batch["vec_id"].to_pylist(), dtype=np.int64)
-        scores = q @ emb.T  # exact int64 (|q|,|e| <= 127, d=64 -> < 2^21)
-        out_q, out_v, out_s = [], [], []
-        kk = min(k, scores.shape[1])
-        for qi in range(len(ids)):
-            s = scores[qi]
-            idx = np.lexsort((vids, -s))[:kk]
-            out_q.extend([ids[qi]] * len(idx))
-            out_v.extend(vids[idx].tolist())
-            out_s.extend(s[idx].tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, pa.int64()),
-                "vec_id": pa.array(out_v, pa.int64()),
-                "score": pa.array(out_s, pa.int64()),
-            }
-        )
+        # exact int64 (|q|,|e| <= 127, d=64 -> < 2^21)
+        return _pairs(ids, vids, q @ emb.T)
 
-    def final_topk(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["score", "vec_id"], ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[["query_id", "vec_id", "rank"]]
-
-    return (
-        ds.map_batches(partial_topk, batch_format="pyarrow")
-        .groupby("query_id")
-        .map_groups(final_topk, batch_format="pandas")
-    )
+    scored = ds.map_batches(score, batch_format="pyarrow")
+    return _rank_per_query(scored, k, "score", pa.int64(), ascending=False)
 
 
 def topk_sq_sql(k: int = 5, nq: int = 8) -> str:
@@ -476,7 +425,7 @@ QUALIFY rank <= {k}
 """
 
 
-# --------------------------------------------- product quantization (r4)
+# ----------------------------------------------- product quantization
 #
 # The classic ANN memory-bandwidth scale path: each vector compresses to
 # M one-byte codes (32x smaller than float64 at M=16 on 64-dim), queries
@@ -612,8 +561,7 @@ def train_residual_codebooks(
     iters: int = IVF_ITERS,
     sample_mode: str = "strided",
 ) -> str:
-    """Residual PQ codebooks for IVFADC (VERDICT r4 #3, FAISS
-    ``by_residual=true``): the per-subspace k-means trains on
+    """Residual PQ codebooks for IVFADC (FAISS ``by_residual=true``): the per-subspace k-means trains on
     (vector − assigned IVF centroid) residuals instead of raw vectors.
     Residuals of vectors in the same bucket concentrate near the origin,
     so the same 256 codes per subspace spend their resolution on the
@@ -682,48 +630,24 @@ def topk_pq(sf_dir: str, k: int = 5, nq: int = 8, m: int = PQ_M, pq_k: int = PQ_
         )
     state = ray.put((qids, lut, books))
 
-    def partial_topk(batch: pa.Table) -> pa.Table:
+    def score(batch: pa.Table) -> pa.Table:
         ids, lut_, books_ = ray.get(state)
         emb = _quantize(np.asarray(batch["embedding"].to_pylist(), dtype=np.float64))
         vids = np.asarray(batch["vec_id"].to_pylist(), dtype=np.int64)
-        n = len(vids)
         m_, k_, d_ = books_.shape
         # encode: per subspace, exact-L2 argmin (first min = lowest code)
-        codes = np.zeros((n, m_), dtype=np.int64)
+        codes = np.zeros((len(vids), m_), dtype=np.int64)
         for s in range(m_):
             codes[:, s] = _sub_l2(emb[:, s * d_ : (s + 1) * d_], books_[s]).argmin(
                 axis=1
             )
-        out_q, out_v, out_s = [], [], []
-        kk = min(k, n)
-        sub_idx = np.arange(m_)
-        for qi in range(len(ids)):
-            # ADC: gather the query's LUT at each vector's codes and sum
-            dist = lut_[qi][sub_idx[None, :], codes].sum(axis=1)
-            idx = np.lexsort((vids, dist))[:kk]
-            out_q.extend([ids[qi]] * len(idx))
-            out_v.extend(vids[idx].tolist())
-            out_s.extend(dist[idx].tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, pa.int64()),
-                "vec_id": pa.array(out_v, pa.int64()),
-                "dist": pa.array(out_s, pa.int64()),
-            }
-        )
-
-    def final_topk(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["dist", "vec_id"], ascending=[True, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[["query_id", "vec_id", "rank"]]
+        # ADC: gather each query's LUT at each vector's codes and sum
+        dist = lut_[:, np.arange(m_)[None, :], codes].sum(axis=2)
+        return _pairs(ids, vids, dist, "dist")
 
     ds = read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    return (
-        ds.map_batches(partial_topk, batch_format="pyarrow")
-        .groupby("query_id")
-        .map_groups(final_topk, batch_format="pandas")
-    )
+    scored = ds.map_batches(score, batch_format="pyarrow")
+    return _rank_per_query(scored, k, "dist", pa.int64(), ascending=True)
 
 
 def topk_pq_sql(
@@ -781,17 +705,16 @@ QUALIFY rank <= {k}
 """
 
 
-# ------------------------------------------- IVF + PQ (IVFADC, r4/r5)
+# ------------------------------------------------- IVF + PQ (IVFADC)
 #
 # The combination both variants exist for: the IVF coarse quantizer
 # bounds WHICH vectors a query touches (nprobe buckets), the PQ codes
 # bound WHAT each touch costs (m one-byte gathers instead of a d-dim
-# dot).  This is the classic billion-scale ANN layout (IVFADC).  Round 5
-# (VERDICT r4 #3): codes are RESIDUAL by default (encoded against
-# codebooks trained on vector − assigned-centroid residuals, FAISS
-# ``by_residual=true``) — the standard recall upgrade at high
-# compression; ``by_residual=False`` keeps the r4 global-codebook
-# variant.  Everything stays value-exactly SQL-twinned: bucket
+# dot).  This is the classic billion-scale ANN layout (IVFADC).  Codes
+# are RESIDUAL by default (encoded against codebooks trained on vector −
+# assigned-centroid residuals, FAISS ``by_residual=true``) — the standard
+# recall upgrade at high compression; ``by_residual=False`` keeps the
+# global-codebook variant.  Everything stays value-exactly SQL-twinned: bucket
 # assignment/probing reuses the IVF cosine rule, and every residual L2
 # expands into dot products of the original integer lists (residuals of
 # exact ints are exact ints), over the same parquet fixtures.
@@ -845,13 +768,10 @@ def topk_ivfpq(
                 qmat[:, s * d : (s + 1) * d], books[s]
             ).astype(np.int64)
     # probe sets fit on the driver (nq x C); ship one bool mask per query
-    qc = _qcos(qmat, cent)
-    probe_mask = np.zeros((len(qids), C), dtype=bool)
-    for qi in range(len(qids)):
-        probe_mask[qi][np.lexsort((np.arange(C), -qc[qi]))[:nprobe]] = True
+    probe_mask = _probe_mask(_qcos(qmat, cent), nprobe)
     state = ray.put((qids, lut, books, cent, probe_mask, by_residual))
 
-    def partial_topk(batch: pa.Table) -> pa.Table:
+    def score(batch: pa.Table) -> pa.Table:
         ids, lut_, books_, cent_, pmask, resid = ray.get(state)
         emb = _quantize(np.asarray(batch["embedding"].to_pylist(), dtype=np.float64))
         vids = np.asarray(batch["vec_id"].to_pylist(), dtype=np.int64)
@@ -864,44 +784,17 @@ def topk_ivfpq(
             codes[:, s] = _sub_l2(enc[:, s * d_ : (s + 1) * d_], books_[s]).argmin(
                 axis=1
             )
-        out_q, out_v, out_s = [], [], []
-        sub_idx = np.arange(m_)
-        for qi in range(len(ids)):
-            mask = pmask[qi][vb]
-            if not mask.any():
-                continue
-            if resid:
-                # per-candidate gather through its bucket's LUT slab
-                dist = lut_[qi][
-                    vb[mask][:, None], sub_idx[None, :], codes[mask]
-                ].sum(axis=1)
-            else:
-                dist = lut_[qi][sub_idx[None, :], codes[mask]].sum(axis=1)
-            sub_ids = vids[mask]
-            idx = np.lexsort((sub_ids, dist))[: min(k, len(sub_ids))]
-            out_q.extend([ids[qi]] * len(idx))
-            out_v.extend(sub_ids[idx].tolist())
-            out_s.extend(dist[idx].tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, pa.int64()),
-                "vec_id": pa.array(out_v, pa.int64()),
-                "dist": pa.array(out_s, pa.int64()),
-            }
-        )
-
-    def final_topk(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["dist", "vec_id"], ascending=[True, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[["query_id", "vec_id", "rank"]]
+        sub_idx = np.arange(m_)[None, :]
+        if resid:
+            # per-candidate gather through its bucket's LUT slab
+            dist = lut_[:, vb[:, None], sub_idx, codes].sum(axis=2)
+        else:
+            dist = lut_[:, sub_idx, codes].sum(axis=2)
+        return _pairs(ids, vids, dist, "dist", mask=pmask[:, vb])
 
     ds = read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    return (
-        ds.map_batches(partial_topk, batch_format="pyarrow")
-        .groupby("query_id")
-        .map_groups(final_topk, batch_format="pandas")
-    )
+    scored = ds.map_batches(score, batch_format="pyarrow")
+    return _rank_per_query(scored, k, "dist", pa.int64(), ascending=True)
 
 
 def topk_ivfpq_sql(

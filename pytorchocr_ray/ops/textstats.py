@@ -13,7 +13,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.text_norm import NORMALIZE_SQL, normalize_column
-from . import co_partition, read
+from . import co_partition, read, top_k
 
 TOKEN_RE = "[A-Za-z0-9]+"
 
@@ -594,14 +594,6 @@ def tfidf_top_terms(sf_dir: str, k: int = 3):
         )
         return out
 
-    def topk(scores: pd.DataFrame) -> pd.DataFrame:
-        g = scores.sort_values(
-            ["doc_id", "score", "token"], ascending=[True, False, True]
-        )
-        g = g.groupby("doc_id", sort=False).head(k).reset_index(drop=True)
-        g["rank"] = g.groupby("doc_id", sort=False).cumcount().astype(np.int64) + 1
-        return g[["doc_id", "token", "score", "rank"]]
-
     scores = co_partition(
         score,
         tf=(
@@ -610,10 +602,12 @@ def tfidf_top_terms(sf_dir: str, k: int = 3):
             {"doc_id": pa.int64(), "token": pa.string(), "tf": pa.int64()},
         ),
     )
-    return co_partition(
-        topk,
-        scores=(scores, "doc_id",
-                {"doc_id": pa.int64(), "token": pa.string(), "score": pa.int64()}),
+    return top_k(
+        scores,
+        "doc_id",
+        [("score", False), ("token", True)],
+        k,
+        {"doc_id": pa.int64(), "token": pa.string(), "score": pa.int64()},
     )
 
 

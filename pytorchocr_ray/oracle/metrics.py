@@ -1,5 +1,5 @@
-"""Single-process oracle for the engine-evaluation metrics (round 3 —
-closes the last ``no_oracle`` driver row, VERDICT r2 "next round" #1).
+"""Single-process oracle for the engine-evaluation metrics, so the
+evaluation query has a driver oracle like every other row.
 
 Loops the corpus media serially through the SAME pure per-image counter
 kernel the Ray stage uses (ops/evaluate.py:media_eval_counters), sums the

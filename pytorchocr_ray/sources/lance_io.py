@@ -1,4 +1,4 @@
-"""Lance table IO, import-guarded (contract fidelity, VERDICT r3 #8).
+"""Lance table IO, import-guarded (contract fidelity).
 
 The BASELINE contract text names a Lance table as the canonical input
 shape; this sandbox does not ship the ``lance`` package, so the branch is

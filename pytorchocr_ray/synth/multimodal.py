@@ -124,7 +124,7 @@ def synth_video_parquet(n_rows: int, seed: int = 42) -> str:
     return path
 
 
-# ------------------------------------------------ REAL payloads (round 3)
+# --------------------------------------------------------- REAL payloads
 #
 # The stub tables above exercise the binary plumbing with SQL-expressible
 # fake decoders.  These tables carry REAL container formats — 16-bit PCM
@@ -287,12 +287,12 @@ def synth_real_video_parquet(
     return d
 
 
-# -------------------------------------------- IMA-ADPCM payloads (r5)
+# ---------------------------------------------------- IMA-ADPCM payloads
 #
-# A COMPRESSED audio format exercised end to end in-sandbox (VERDICT r4
-# #7).  The encoder and the reference decoder here are independent
-# plain per-sample Python loops (the generator-knowledge oracle
-# discipline); the engine decodes the same bytes with the
+# A COMPRESSED audio format exercised end to end in-sandbox, with no
+# codec library.  The encoder and the reference decoder here are
+# independent plain per-sample Python loops (the generator-knowledge
+# oracle discipline); the engine decodes the same bytes with the
 # block-vectorized numpy decoder in stages/multimodal.py.  ADPCM is
 # LOSSY, so expected features are computed from the REFERENCE-DECODED
 # samples — two independent implementations of an integer-exact codec
@@ -479,7 +479,7 @@ def synth_adpcm_audio_parquet(
     return d
 
 
-# -------------------------------------------- G.711 mu-law payloads (r5)
+# ------------------------------------------------- G.711 mu-law payloads
 #
 # Second native compressed codec (after IMA-ADPCM): stateless 8-bit
 # logarithmic PCM, WAV format tag 0x07.  Same oracle discipline: the
