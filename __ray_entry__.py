@@ -78,94 +78,51 @@ def _audio_features(sf_dir: str) -> Any:
     return audio_features(ds)
 
 
-def _real_audio_dir(sf_dir: str) -> str:
-    from pytorchocr_ray.synth.multimodal import synth_real_audio_parquet
-
-    return synth_real_audio_parquet(min(100, _n_rows(sf_dir)), seed=_SEED)
+def _payload_dir(synth, sf_dir: str) -> str:
+    return synth(min(100, _n_rows(sf_dir)), seed=_SEED)
 
 
-def _adpcm_audio_dir(sf_dir: str) -> str:
-    from pytorchocr_ray.synth.multimodal import synth_adpcm_audio_parquet
+def _audio_payloads(synth) -> Callable[[str], Any]:
+    """Query over the WAV payloads ``synth`` writes, through the real
+    decoder: PCM, IMA-ADPCM (4:1, pure-numpy block-vectorized) or G.711
+    mu-law (2:1, table gather).  The compressed codecs are lossy, so the
+    expected features (:func:`_audio_expected`) come from an independent
+    per-sample reference decoder that must agree on the decoded stream
+    bit-for-bit (asserted at synthesis)."""
 
-    return synth_adpcm_audio_parquet(min(100, _n_rows(sf_dir)), seed=_SEED)
+    def run(sf_dir: str) -> Any:
+        import ray.data as rd
+
+        from pytorchocr_ray.stages.multimodal import audio_features, real_audio_decode
+
+        ds = rd.read_parquet(
+            os.path.join(_payload_dir(synth, sf_dir), "payload.parquet"),
+            override_num_blocks=8,
+        )
+        return audio_features(ds, decoder=real_audio_decode)
+
+    return run
 
 
-def _mulaw_audio_dir(sf_dir: str) -> str:
-    from pytorchocr_ray.synth.multimodal import synth_mulaw_audio_parquet
-
-    return synth_mulaw_audio_parquet(min(100, _n_rows(sf_dir)), seed=_SEED)
-
-
-def _audio_features_mulaw(sf_dir: str) -> Any:
-    """COMPRESSED (G.711 mu-law 2:1) WAV payloads through the native
-    table-gather decoder — expected features from an independent
-    per-sample reference expansion (lossy codec, so both decoders must
-    agree on the decoded stream bit-for-bit; asserted at synthesis)."""
-    import os
-
-    import ray.data as rd
-
-    from pytorchocr_ray.stages.multimodal import audio_features, real_audio_decode
-
-    ds = rd.read_parquet(
-        os.path.join(_mulaw_audio_dir(sf_dir), "payload.parquet"),
-        override_num_blocks=8,
+def _audio_expected(synth, sf_dir: str) -> str:
+    return (
+        "SELECT sample_ref, window_idx, energy, zcr "
+        f"FROM read_parquet('{os.path.join(_payload_dir(synth, sf_dir), 'expected.parquet')}')"
     )
-    return audio_features(ds, decoder=real_audio_decode)
-
-
-def _audio_features_adpcm(sf_dir: str) -> Any:
-    """COMPRESSED (IMA-ADPCM 4:1) WAV payloads through the pure-numpy
-    block-vectorized decoder — the oracle's expected features come
-    from an independent per-sample reference decoder (ADPCM is lossy, so
-    both sides must agree on the decoded stream bit-for-bit)."""
-    import os
-
-    import ray.data as rd
-
-    from pytorchocr_ray.stages.multimodal import audio_features, real_audio_decode
-
-    ds = rd.read_parquet(
-        os.path.join(_adpcm_audio_dir(sf_dir), "payload.parquet"),
-        override_num_blocks=8,
-    )
-    return audio_features(ds, decoder=real_audio_decode)
-
-
-def _real_video_dir(sf_dir: str) -> str:
-    from pytorchocr_ray.synth.multimodal import synth_real_video_parquet
-
-    return synth_real_video_parquet(min(100, _n_rows(sf_dir)), seed=_SEED)
-
-
-def _audio_features_real(sf_dir: str) -> Any:
-    """REAL 16-bit PCM WAV payloads through the real decoder."""
-    import os
-
-    import ray.data as rd
-
-    from pytorchocr_ray.stages.multimodal import audio_features, real_audio_decode
-
-    ds = rd.read_parquet(
-        os.path.join(_real_audio_dir(sf_dir), "payload.parquet"),
-        override_num_blocks=8,
-    )
-    return audio_features(ds, decoder=real_audio_decode)
 
 
 def _video_frames_real(sf_dir: str) -> Any:
     """REAL YUV4MPEG2 payloads through the real decoder."""
-    import os
-
     import ray.data as rd
 
     from pytorchocr_ray.stages.multimodal import (
         real_video_decode,
         video_frame_samples,
     )
+    from pytorchocr_ray.synth.multimodal import synth_real_video_parquet
 
     ds = rd.read_parquet(
-        os.path.join(_real_video_dir(sf_dir), "payload.parquet"),
+        os.path.join(_payload_dir(synth_real_video_parquet, sf_dir), "payload.parquet"),
         override_num_blocks=8,
     )
     return video_frame_samples(ds, decoder=real_video_decode)
@@ -178,42 +135,6 @@ def _video_frames(sf_dir: str) -> Any:
 
     ds = rd.read_parquet(_video_parquet(sf_dir), override_num_blocks=8)
     return video_frame_samples(ds)
-
-
-def _sessionize(sf_dir: str) -> Any:
-    from pytorchocr_ray.ops.sessions import sessionize
-
-    return sessionize(sf_dir)
-
-
-def _sessionize_sql() -> str:
-    from pytorchocr_ray.ops.sessions import sessionize_sql
-
-    return sessionize_sql()
-
-
-def _asof_last_view(sf_dir: str) -> Any:
-    from pytorchocr_ray.ops.sessions import asof_last_view
-
-    return asof_last_view(sf_dir)
-
-
-def _funnel_steps(sf_dir: str) -> Any:
-    from pytorchocr_ray.ops.sessions import funnel_steps
-
-    return funnel_steps(sf_dir)
-
-
-def _funnel_steps_sql() -> str:
-    from pytorchocr_ray.ops.sessions import funnel_steps_sql
-
-    return funnel_steps_sql()
-
-
-def _asof_sql() -> str:
-    from pytorchocr_ray.ops.sessions import ASOF_LAST_VIEW_SQL
-
-    return ASOF_LAST_VIEW_SQL
 
 
 def _pubtab_fixture(sf_dir: str) -> str:
@@ -261,9 +182,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
         pii,
         relational,
         sampling,
+        sessions,
         simsearch,
         textstats,
     )
+    from pytorchocr_ray.synth import multimodal
 
     return {
         # flagship extraction — hash-verified against the generator's
@@ -429,13 +352,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "video_frames": _video_frames,
         # same stages over REAL container payloads (PCM WAV / YUV4MPEG2)
         # through the real decoders; generator-knowledge expected oracle
-        "audio_features_real": _audio_features_real,
+        "audio_features_real": _audio_payloads(multimodal.synth_real_audio_parquet),
         # compressed audio for real: IMA-ADPCM 4:1 WAV via the
         # in-engine numpy decoder, no optional deps
-        "audio_features_adpcm": _audio_features_adpcm,
+        "audio_features_adpcm": _audio_payloads(multimodal.synth_adpcm_audio_parquet),
         # G.711 mu-law compressed audio through the native table-gather
         # decoder: second compressed codec exercised end to end
-        "audio_features_mulaw": _audio_features_mulaw,
+        "audio_features_mulaw": _audio_payloads(multimodal.synth_mulaw_audio_parquet),
         "video_frames_real": _video_frames_real,
         # engine evaluation (det IoU + rec accuracy, partial+final agg)
         "evaluate_engine": _evaluate_engine,
@@ -464,12 +387,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "value_quantile_sketch": relational.value_quantile_sketch,
         "user_activity": relational.user_activity,
         "supplier_nation": relational.supplier_nation,
-        "sessionize": _sessionize,
-        "asof_last_view": _asof_last_view,
+        "sessionize": sessions.sessionize,
+        "asof_last_view": sessions.asof_last_view,
         # funnel / sequential pattern matching: first view ->
         # first later click -> first later purchase per user, strict-
         # time ordering, one user-salted exchange
-        "funnel_steps": _funnel_steps,
+        "funnel_steps": sessions.funnel_steps,
     }
 
 
@@ -487,9 +410,11 @@ def oracle_sql(sf_dir: str = "/root/testdata/sf0.01") -> dict[str, str]:
         pii,
         relational,
         sampling,
+        sessions,
         simsearch,
         textstats,
     )
+    from pytorchocr_ray.synth import multimodal
 
     # The flagship extraction oracle is the generator's GROUND-TRUTH span
     # table (normalized text spans + rendered transcripts in reading
@@ -531,21 +456,12 @@ def oracle_sql(sf_dir: str = "/root/testdata/sf0.01") -> dict[str, str]:
         ),
         "audio_features": audio_features_sql(_audio_parquet(sf_dir)),
         "video_frames": video_frames_sql(_video_parquet(sf_dir)),
-        "audio_features_real": (
-            "SELECT sample_ref, window_idx, energy, zcr "
-            f"FROM read_parquet('{os.path.join(_real_audio_dir(sf_dir), 'expected.parquet')}')"
-        ),
-        "audio_features_adpcm": (
-            "SELECT sample_ref, window_idx, energy, zcr "
-            f"FROM read_parquet('{os.path.join(_adpcm_audio_dir(sf_dir), 'expected.parquet')}')"
-        ),
-        "audio_features_mulaw": (
-            "SELECT sample_ref, window_idx, energy, zcr "
-            f"FROM read_parquet('{os.path.join(_mulaw_audio_dir(sf_dir), 'expected.parquet')}')"
-        ),
+        "audio_features_real": _audio_expected(multimodal.synth_real_audio_parquet, sf_dir),
+        "audio_features_adpcm": _audio_expected(multimodal.synth_adpcm_audio_parquet, sf_dir),
+        "audio_features_mulaw": _audio_expected(multimodal.synth_mulaw_audio_parquet, sf_dir),
         "video_frames_real": (
             "SELECT frame_ref, frame_idx, mean_luma "
-            f"FROM read_parquet('{os.path.join(_real_video_dir(sf_dir), 'expected.parquet')}')"
+            f"FROM read_parquet('{os.path.join(_payload_dir(multimodal.synth_real_video_parquet, sf_dir), 'expected.parquet')}')"
         ),
         "table_structure": (
             "SELECT filename, structure, n_cells, bbox_sum "
@@ -626,7 +542,7 @@ def oracle_sql(sf_dir: str = "/root/testdata/sf0.01") -> dict[str, str]:
         "value_quantile_sketch": relational.value_quantile_sketch_sql(),
         "user_activity": relational.USER_ACTIVITY_SQL,
         "supplier_nation": relational.SUPPLIER_NATION_SQL,
-        "sessionize": _sessionize_sql(),
-        "asof_last_view": _asof_sql(),
-        "funnel_steps": _funnel_steps_sql(),
+        "sessionize": sessions.sessionize_sql(),
+        "asof_last_view": sessions.ASOF_LAST_VIEW_SQL,
+        "funnel_steps": sessions.funnel_steps_sql(),
     }

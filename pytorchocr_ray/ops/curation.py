@@ -33,7 +33,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from . import co_partition, read
+from . import _head_k, co_partition, read
 from .hashing import B_TOK, M31, TOKEN_SPLIT_RE, poly_hash_strings, sql_char_hash, sql_tokens, tokenize_batch
 
 _M = np.uint64(M31)
@@ -478,6 +478,29 @@ SEMDEDUP_THRESHOLD = 0.40  # see ops/dedup.EMB_THRESHOLD: the synthetic
 SEMDEDUP_CENTROIDS = 16
 
 
+def _clusters(sf_dir: str, n_centroids: int, qd: bool = False):
+    """(vec_id, cid) per embedding, plus its quantized vector ``qd`` when
+    asked: the nearest trained IVF centroid by exact-integer cosine, the
+    lowest cid on ties; a broadcast argmax per batch, no shuffle."""
+    import ray
+
+    from .simsearch import _load_centroids, _qcos, _quantize, train_ivf_centroids
+
+    cent_ref = ray.put(_load_centroids(train_ivf_centroids(sf_dir, n_centroids)))
+
+    def assign(batch: pa.Table) -> pa.Table:
+        emb = _quantize(np.asarray(batch["embedding"].to_pylist(), dtype=np.float64))
+        cid = _qcos(emb, ray.get(cent_ref)).argmax(axis=1)  # first max = lowest cid on ties
+        cols = {"vec_id": pc.cast(batch["vec_id"], pa.int64()), "cid": pa.array(cid.astype(np.int64))}
+        if qd:
+            cols["qd"] = pa.array(emb.tolist(), pa.list_(pa.int64()))
+        return pa.table(cols)
+
+    return read(sf_dir, "embeddings", columns=["vec_id", "embedding"]).map_batches(
+        assign, batch_format="pyarrow"
+    )
+
+
 def semdedup(
     sf_dir: str,
     threshold: float = SEMDEDUP_THRESHOLD,
@@ -495,65 +518,44 @@ def semdedup(
     its retained representative, ``is_dup = n_similar > 0``).
 
     Scale shape: centroid assignment is a broadcast argmax per batch (no
-    shuffle); the single groupby(cid) co-locates each cluster's vectors
+    shuffle); one co-partition on cid co-locates each cluster's vectors
     once; in-cluster pairwise cosine runs in fixed-size row chunks so
-    memory is O(chunk x |cluster|), never O(|cluster|^2) floats at once.
+    memory is O(chunk x (chunk + |cluster|)), never O(|cluster|^2)
+    floats at once.
     Assignment tie-break (lowest cid) and ranking are bit-identical to
     the DuckDB twin via the exact integer-quantized cosine.
     """
     import pandas as pd
-    import ray
 
-    from .simsearch import _qcos, _quantize, _load_centroids, train_ivf_centroids
+    from .simsearch import _qcos
 
-    cent = _load_centroids(train_ivf_centroids(sf_dir, n_centroids))
-    cent_ref = ray.put(cent)
-
-    ds = read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-
-    def assign(batch: pa.Table) -> pa.Table:
-        c = ray.get(cent_ref)
-        emb = _quantize(
-            np.asarray(batch["embedding"].to_pylist(), dtype=np.float64)
-        )
-        vids = np.asarray(batch["vec_id"].to_pylist(), dtype=np.int64)
-        cid = _qcos(emb, c).argmax(axis=1)  # first max = lowest cid on ties
-        return pa.table(
-            {
-                "vec_id": pa.array(vids),
-                "cid": pa.array(cid.astype(np.int64)),
-                "qd": pa.array(emb.tolist(), pa.list_(pa.int64())),
-            }
-        )
-
-    def in_cluster(group: pd.DataFrame) -> pd.DataFrame:
-        order = np.argsort(group["vec_id"].to_numpy(np.int64), kind="stable")
-        vids = group["vec_id"].to_numpy(np.int64)[order]
-        q = np.asarray(group["qd"].tolist(), dtype=np.int64)[order]
-        n = len(vids)
-        n_sim = np.zeros(n, dtype=np.int64)
+    def in_cluster(rows: pd.DataFrame) -> pd.DataFrame:
+        rows = rows.sort_values(["cid", "vec_id"], kind="stable")
+        cid = rows["cid"].to_numpy(np.int64)
+        q = np.asarray(rows["qd"].tolist(), dtype=np.int64)
+        start = np.searchsorted(cid, cid)  # first row of each row's cluster
+        n_sim = np.zeros(len(cid), dtype=np.int64)
         chunk = 512
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            s = _qcos(q[lo:hi], q)  # (chunk, n)
-            # lower-vec_id neighbors only (vids sorted ascending)
-            mask = (s >= threshold) & (
-                np.arange(n)[None, :] < np.arange(lo, hi)[:, None]
-            )
-            n_sim[lo:hi] = mask.sum(axis=1)
+        for lo in range(0, len(cid), chunk):
+            hi = min(lo + chunk, len(cid))
+            col = np.arange(start[lo], hi)
+            # lower-vec_id neighbors of the same cluster only (rows sorted
+            # by cid, then vec_id)
+            near = (_qcos(q[lo:hi], q[col]) >= threshold) & (col >= start[lo:hi, None])
+            n_sim[lo:hi] = (near & (col < np.arange(lo, hi)[:, None])).sum(axis=1)
         return pd.DataFrame(
             {
-                "vec_id": vids,
-                "cid": group["cid"].to_numpy(np.int64)[order],
+                "vec_id": rows["vec_id"].to_numpy(np.int64),
+                "cid": cid,
                 "n_similar": n_sim,
                 "is_dup": (n_sim > 0).astype(np.int64),
             }
         )
 
-    return (
-        ds.map_batches(assign, batch_format="pyarrow")
-        .groupby("cid")
-        .map_groups(in_cluster, batch_format="pandas")
+    return co_partition(
+        in_cluster,
+        rows=(_clusters(sf_dir, n_centroids, qd=True), "cid",
+              {"vec_id": pa.int64(), "cid": pa.int64(), "qd": pa.list_(pa.int64())}),
     )
 
 
@@ -1133,20 +1135,15 @@ def epoch_shuffle(sf_dir: str, epoch: int = 1, n_shards: int = EPOCH_SHARDS):
             }
         )
 
-    def order_shard(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["k", "doc_id"], kind="mergesort")
-        return pd.DataFrame(
-            {
-                "doc_id": g["doc_id"].to_numpy(np.int64),
-                "shard": g["shard"].to_numpy(np.int64),
-                "pos": np.arange(len(g), dtype=np.int64),
-            }
-        )
+    def order_shard(rows: pd.DataFrame) -> pa.Table:
+        t = pa.Table.from_pandas(rows, preserve_index=False)
+        t = _head_k(t, ["shard"], [("k", True), ("doc_id", True)], t.num_rows)
+        return pa.table({"doc_id": t["doc_id"], "shard": t["shard"], "pos": pc.subtract(t["rank"], 1)})
 
-    return (
-        ds.map_batches(key_rows, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(order_shard, batch_format="pandas")
+    return co_partition(
+        order_shard,
+        rows=(ds.map_batches(key_rows, batch_format="pyarrow"), "shard",
+              {"shard": pa.int64(), "k": pa.int64(), "doc_id": pa.int64()}),
     )
 
 
@@ -1366,7 +1363,8 @@ FROM a, t
 # stays k-bounded while every assignment value-verifies — the
 # inverted_index posting-fingerprint trick applied to cluster members.
 # Assignment is the same broadcast argmax over the trained IVF centroid
-# fixture (lowest-cid tie rule), one cid groupby closes out.
+# fixture (lowest-cid tie rule); one co-partition on cid closes out,
+# one sort and one segment hash over every cluster of a group.
 
 
 def kmeans_clusters(sf_dir: str, n_centroids: int = SEMDEDUP_CENTROIDS):
@@ -1374,46 +1372,22 @@ def kmeans_clusters(sf_dir: str, n_centroids: int = SEMDEDUP_CENTROIDS):
     over the embeddings table.  Value-exact DuckDB twin in
     :func:`kmeans_clusters_sql`."""
     import pandas as pd
-    import ray
 
     from .hashing import poly_hash_segments
-    from .simsearch import _load_centroids, _qcos, _quantize, train_ivf_centroids
 
-    cent = _load_centroids(train_ivf_centroids(sf_dir, n_centroids))
-    cent_ref = ray.put(cent)
-    ds = read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
+    def per_cluster(rows: pd.DataFrame) -> pd.DataFrame:
+        rows = rows.sort_values(["cid", "vec_id"], kind="stable")
+        cid = rows["cid"].to_numpy(np.int64)
+        new = np.ones(len(cid), dtype=bool)
+        new[1:] = cid[1:] != cid[:-1]
+        size = np.diff(np.append(np.flatnonzero(new), len(cid)))
+        vids = rows["vec_id"].to_numpy(np.int64)
+        fp = poly_hash_segments((vids % M31).astype(np.uint64), size)
+        return pd.DataFrame({"cid": cid[new], "n_vectors": size, "members_fp": fp.astype(np.int64)})
 
-    def assign(batch: pa.Table) -> pa.Table:
-        c = ray.get(cent_ref)
-        emb = _quantize(
-            np.asarray(batch["embedding"].to_pylist(), dtype=np.float64)
-        )
-        vids = np.asarray(batch["vec_id"].to_pylist(), dtype=np.int64)
-        cid = _qcos(emb, c).argmax(axis=1)  # first max = lowest cid on ties
-        return pa.table(
-            {
-                "vec_id": pa.array(vids),
-                "cid": pa.array(cid.astype(np.int64)),
-            }
-        )
-
-    def per_cluster(group: pd.DataFrame) -> pd.DataFrame:
-        vids = np.sort(group["vec_id"].to_numpy(np.int64))
-        fp = poly_hash_segments(
-            (vids % M31).astype(np.uint64), np.array([len(vids)])
-        )[0]
-        return pd.DataFrame(
-            {
-                "cid": group["cid"].iloc[:1].to_numpy(np.int64),
-                "n_vectors": np.array([len(vids)], dtype=np.int64),
-                "members_fp": np.array([fp], dtype=np.int64),
-            }
-        )
-
-    return (
-        ds.map_batches(assign, batch_format="pyarrow")
-        .groupby("cid")
-        .map_groups(per_cluster, batch_format="pandas")
+    return co_partition(
+        per_cluster,
+        rows=(_clusters(sf_dir, n_centroids), "cid", {"vec_id": pa.int64(), "cid": pa.int64()}),
     )
 
 

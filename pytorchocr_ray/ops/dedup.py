@@ -233,7 +233,7 @@ def minhash_pairs(
     # verify shuffle (bounded: one per matching band) and the final
     # per-pair combine computes each pair once.
     cands = co_partition(
-        lambda rows: _bucket_pairs(rows, ["band", "key"]),
+        lambda rows: _id_pairs(rows, ["band", "key"]),
         rows=(
             sig_ds.map_batches(explode_bands, batch_format="pyarrow"),
             ["band", "key"],
@@ -243,20 +243,31 @@ def minhash_pairs(
     return _verify_jaccard(cands, sig_ds, threshold)
 
 
-def _bucket_pairs(rows: pd.DataFrame, by: list[str], max_n: int | None = None) -> pd.DataFrame:
-    """(doc_a, doc_b) with doc_a < doc_b for every pair of rows sharing
-    ``by``, over buckets of 2..``max_n`` members (buckets with >=2
-    members are rare, so only those are enumerated)."""
-    n = rows.groupby(by, sort=False)["doc_id"].transform("size").to_numpy()
-    hot = (n >= 2) & (n <= (max_n or len(rows)))
-    a_out: list[np.ndarray] = [np.zeros(0, np.int64)]
-    b_out: list[np.ndarray] = [np.zeros(0, np.int64)]
-    for _k, bucket in rows[hot].groupby(by, sort=False):
-        ids = np.sort(bucket["doc_id"].to_numpy(np.int64))
-        ii, jj = np.triu_indices(len(ids), 1)
-        a_out.append(ids[ii])
-        b_out.append(ids[jj])
-    return pd.DataFrame({"doc_a": np.concatenate(a_out), "doc_b": np.concatenate(b_out)})
+def _bucket_pairs(rows: pd.DataFrame, by: list[str], max_n: int | None = None, id_col: str = "doc_id"):
+    """Row positions ``(i, j)`` into ``rows`` of every pair of rows sharing
+    the int ``by`` columns, with ``id_col`` of i <= that of j, over buckets of
+    2..``max_n`` members: one sort, then each row paired with every later
+    row of its bucket — no Python call per bucket."""
+    order = np.lexsort([rows[c].to_numpy(np.int64) for c in [id_col, *reversed(by)]])
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for c in by:
+        v = rows[c].to_numpy(np.int64)[order]
+        new[1:] |= v[1:] != v[:-1]
+    starts = np.flatnonzero(new)
+    size = np.diff(np.append(starts, len(order)))
+    hot = (size >= 2) & (size <= (max_n or len(order)))
+    later = np.where(np.repeat(hot, size), np.repeat(starts + size, size) - np.arange(len(order)) - 1, 0)
+    i = np.repeat(np.arange(len(order)), later)
+    j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(later) - later, later)
+    return order[i], order[j]
+
+
+def _id_pairs(rows: pd.DataFrame, by: list[str], max_n: int | None = None) -> pd.DataFrame:
+    """(doc_a, doc_b) with doc_a <= doc_b for every pair of rows sharing ``by``."""
+    i, j = _bucket_pairs(rows, by, max_n)
+    ids = rows["doc_id"].to_numpy(np.int64)
+    return pd.DataFrame({"doc_a": ids[i], "doc_b": ids[j]})
 
 
 def _verify_jaccard(cands, shl_ds, threshold: float):
@@ -437,7 +448,7 @@ def ngram_jaccard_pairs(
     # combine computes each pair once regardless of how many rare shingles
     # it shares
     cands = co_partition(
-        lambda postings: _bucket_pairs(postings, ["h"], max_n=max_df),
+        lambda postings: _id_pairs(postings, ["h"], max_n=max_df),
         postings=(
             shl_ds.map_batches(explode_postings, batch_format="pyarrow"),
             "h",
@@ -764,30 +775,24 @@ def simhash_pairs(
             cols[c] = pa.array(np.repeat(sigs[:, w], nb))
         return pa.table(cols)
 
-    def bucket_pairs(group: pd.DataFrame) -> pd.DataFrame:
-        ids = group["doc_id"].to_numpy(np.int64)
-        sigs = np.stack([group[c].to_numpy(np.int64) for c in sig_cols], axis=1)
-        order = np.argsort(ids)
-        ids, sigs = ids[order], sigs[order]
-        ii, jj = np.triu_indices(len(ids), k=1)
-        ham = np.zeros(len(ii), dtype=np.int64)
+    def bucket_pairs(rows: pd.DataFrame) -> pd.DataFrame:
+        i, j = _bucket_pairs(rows, ["band", "key", "key2"])
+        sigs = rows[sig_cols].to_numpy(np.int64)
+        ham = np.zeros(len(i), dtype=np.int64)
         for w in range(SIMHASH_WORDS):
-            ham += _popcount32(
-                np.bitwise_xor(sigs[ii, w], sigs[jj, w]).astype(np.uint32)
-            )
+            ham += _popcount32(np.bitwise_xor(sigs[i, w], sigs[j, w]).astype(np.uint32))
         m = ham <= max_hamming
-        return pd.DataFrame(
-            {
-                "doc_a": ids[ii[m]],
-                "doc_b": ids[jj[m]],
-                "hamming": ham[m],
-            }
-        )
+        ids = rows["doc_id"].to_numpy(np.int64)
+        return pd.DataFrame({"doc_a": ids[i[m]], "doc_b": ids[j[m]], "hamming": ham[m]})
 
-    pairs = (
-        sig_ds.map_batches(explode, batch_format="pyarrow")
-        .groupby(["band", "key", "key2"])
-        .map_groups(bucket_pairs, batch_format="pandas")
+    pairs = co_partition(
+        bucket_pairs,
+        rows=(
+            sig_ds.map_batches(explode, batch_format="pyarrow"),
+            ["band", "key", "key2"],
+            {"band": pa.int32(), "key": pa.int64(), "key2": pa.int64(), "doc_id": pa.int64(),
+             **{c: pa.int64() for c in sig_cols}},
+        ),
     )
     # distinct across bands (hamming is identical for a given pair)
     return pairs.groupby(["doc_a", "doc_b"]).aggregate(
@@ -975,45 +980,35 @@ def embedding_neardup(
             }
         )
 
-    def in_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "vec_a": pd.Series([], dtype=np.int64),
-                "vec_b": pd.Series([], dtype=np.int64),
-                "cos_pct": pd.Series([], dtype=np.int64),
-            }
-        )
-        if len(group) < 2:
-            return empty
-        ids = group["vec_id"].to_numpy(np.int64)
-        home = group["is_home"].to_numpy(np.int8).astype(bool)
-        q = np.vstack([np.frombuffer(b, dtype=np.int64) for b in group["qv"]])
-        order = np.argsort(ids)
-        ids, home, q = ids[order], home[order], q[order]
-        ii, jj = np.triu_indices(len(ids), k=1)
+    def in_bucket(rows: pd.DataFrame) -> pd.DataFrame:
+        i, j = _bucket_pairs(rows, ["bucket"], id_col="vec_id")
+        ids = rows["vec_id"].to_numpy(np.int64)
+        home = rows["is_home"].to_numpy(np.int8).astype(bool)
         # a pair within probe radius appears with >=1 home row in some
-        # group; "at least one home" avoids pure-probe echo groups
-        m = (home[ii] | home[jj]) & (ids[ii] != ids[jj])
-        ii, jj = ii[m], jj[m]
-        if not len(ii):
-            return empty
-        num = np.einsum("ij,ij->i", q[ii].astype(np.float64), q[jj].astype(np.float64))
-        na = np.sqrt((q[ii].astype(np.float64) ** 2).sum(axis=1))
-        nb = np.sqrt((q[jj].astype(np.float64) ** 2).sum(axis=1))
-        cos = num / (na * nb)
+        # bucket; "at least one home" avoids pure-probe echo buckets
+        m = (home[i] | home[j]) & (ids[i] != ids[j])
+        i, j = i[m], j[m]
+        q = np.frombuffer(b"".join(rows["qv"]), dtype=np.int64).reshape(len(rows), -1)
+        qa, qb = q[i].astype(np.float64), q[j].astype(np.float64)
+        cos = np.einsum("ij,ij->i", qa, qb) / (
+            np.sqrt((qa**2).sum(axis=1)) * np.sqrt((qb**2).sum(axis=1))
+        )
         keep = cos >= threshold
         return pd.DataFrame(
             {
-                "vec_a": ids[ii[keep]],
-                "vec_b": ids[jj[keep]],
+                "vec_a": ids[i[keep]],
+                "vec_b": ids[j[keep]],
                 "cos_pct": np.floor(100.0 * cos[keep] + 0.5).astype(np.int64),
             }
         )
 
-    pairs = (
-        ds.map_batches(stage, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(in_bucket, batch_format="pandas")
+    pairs = co_partition(
+        in_bucket,
+        rows=(
+            ds.map_batches(stage, batch_format="pyarrow"),
+            "bucket",
+            {"vec_id": pa.int64(), "bucket": pa.int64(), "is_home": pa.int8(), "qv": pa.binary()},
+        ),
     )
     # distinct across probe buckets (cos_pct identical for a given pair)
     return pairs.groupby(["vec_a", "vec_b"]).aggregate(

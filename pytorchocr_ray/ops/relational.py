@@ -479,12 +479,25 @@ GROUP BY 1, 2
 #
 # The per-key sibling of ops.textstats.token_quantile_filter: an exact
 # percentile PER GROUP with NO driver step at all — per-batch
-# (key, value) histogram partials, one (key, value) groupby-sum, then a
-# per-key map_groups that scans its own (tiny) histogram for the
-# threshold.  The shuffle carries one row per distinct (key, quantized
-# value) per block; the per-key group is bounded by that key's distinct
-# values, never its row count — the shape that survives a skewed
-# 100 TB keyspace.
+# (key, value) histogram partials, then one co-partition on the key whose
+# close-out sums each key's histogram and scans it for the threshold,
+# every key of the group at once.  The shuffle carries one row per
+# distinct (key, quantized value) per block; a key's close-out is
+# bounded by that key's distinct values, never its row count — the
+# shape that survives a skewed 100 TB keyspace.
+
+
+def _key_quantiles(hist: pd.DataFrame, key: str, pct: int) -> pd.DataFrame:
+    """(key, p_cents, n) from (key, cents, c) histogram rows in any order,
+    repeats summed: ``textstats.quantile_threshold`` of every key at once
+    (the first cents whose running count reaches ``pct`` percent)."""
+    h = hist.groupby([key, "cents"], as_index=False, sort=True)["c"].sum()
+    by_key = h.groupby(key)["c"]
+    n = by_key.transform("sum")
+    at = h[100 * by_key.cumsum() >= pct * n].drop_duplicates(key)
+    return pd.DataFrame(
+        {key: at[key], "p_cents": at["cents"].astype(np.int64), "n": n[at.index].astype(np.int64)}
+    )
 
 
 def events_value_quantile(sf_dir: str, pct: int = 90):
@@ -492,8 +505,6 @@ def events_value_quantile(sf_dir: str, pct: int = 90):
     integer-cents event value per event type — smallest cents c with
     100 * cum_count(c) >= pct * n_group — plus the group count.
     Value-exact DuckDB twin in :func:`events_value_quantile_sql`."""
-    from ray.data.aggregate import Sum
-
     ds = read(sf_dir, "events", columns=["event_type", "value"])
 
     def hist_partial(batch: pa.Table) -> pa.Table:
@@ -509,27 +520,13 @@ def events_value_quantile(sf_dir: str, pct: int = 90):
         g["c"] = g["c"].astype(np.int64)
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    def group_threshold(group: pd.DataFrame) -> pd.DataFrame:
-        from .textstats import quantile_threshold
-
-        g = group.sort_values("cents")
-        c = g["c"].to_numpy(np.int64)
-        return pd.DataFrame(
-            {
-                "event_type": [g["event_type"].iloc[0]],
-                "p_cents": np.array(
-                    [quantile_threshold(g["cents"].to_numpy(np.int64), c, pct)]
-                ),
-                "n": np.array([int(c.sum())], dtype=np.int64),
-            }
-        )
-
-    return (
-        ds.map_batches(hist_partial, batch_format="pyarrow")
-        .groupby(["event_type", "cents"])
-        .aggregate(Sum("c", alias_name="c"))
-        .groupby("event_type")
-        .map_groups(group_threshold, batch_format="pandas")
+    return co_partition(
+        lambda hist: _key_quantiles(hist, "event_type", pct),
+        hist=(
+            ds.map_batches(hist_partial, batch_format="pyarrow"),
+            "event_type",
+            {"event_type": pa.string(), "cents": pa.int64(), "c": pa.int64()},
+        ),
     )
 
 

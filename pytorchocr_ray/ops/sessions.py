@@ -3,11 +3,14 @@ Ray Data lacks natively (SURVEY.md §2.9 notes the reference has no
 streaming ops; the engine contract requires windowed aggregates anyway).
 
 Semantics: per user, events sorted by ts; a new session starts when the gap
-to the previous event exceeds ``gap``. Implemented as
-``groupby(user_id).map_groups`` with a vectorized in-group pass —
-partitioning assumption: one user's events fit one group (holds by
-construction of the groupby; for a pathological single-user firehose the
-key would need salting plus a session-merge pass).
+to the previous event exceeds ``gap``.  Every operator here is one
+:func:`co_partition` on ``user_id`` with a close-out vectorized over all
+users of its group: ONE mergesort (on ``(user_id, ts)``; on ``ts`` for
+the as-of join, which merges by user), then column operations that never
+let a session, an as-of match or a funnel step cross a user boundary.  Partitioning assumption: one user's events fit
+one group (for a pathological single-user firehose the key would need
+salting plus a session-merge pass).  Timestamps are cast to int64
+microseconds on the way in (the twins' ``epoch_us``).
 
 The DuckDB oracle expresses the identical windowing with LAG + a running
 sum — the standard SQL sessionization idiom.
@@ -24,78 +27,64 @@ from . import co_partition, read
 GAP_MINUTES = 30
 
 
+def _events(sf_dir: str, columns: list[str]):
+    """``co_partition`` side of the events table on ``user_id``; any Arrow
+    timestamp unit is cast to microseconds (a finer unit with
+    sub-microsecond digits raises)."""
+    types = {"user_id": pa.int64(), "ts": pa.timestamp("us"), "event_type": pa.string()}
+    return read(sf_dir, "events", columns=columns), "user_id", {c: types[c] for c in columns}
+
+
+def _by_user(events: pd.DataFrame):
+    """``events`` in (user_id, ts) order, its int64 user ids and ts
+    microseconds, and where each user's run starts."""
+    g = events.sort_values(["user_id", "ts"], kind="mergesort")
+    u = g["user_id"].to_numpy(np.int64)
+    new = np.ones(len(u), dtype=bool)
+    new[1:] = u[1:] != u[:-1]
+    return g, u, g["ts"].to_numpy("datetime64[us]").view(np.int64), new
+
+
 def sessionize(sf_dir: str, gap_minutes: int = GAP_MINUTES):
     """-> (user_id, session_idx, n_events, start_epoch, end_epoch) ints."""
     gap_us = np.int64(gap_minutes * 60 * 1_000_000)
 
-    ds = read(sf_dir, "events", columns=["user_id", "ts"])
-
-    def per_user(group: pd.DataFrame) -> pd.DataFrame:
-        ts = np.sort(group["ts"].to_numpy("datetime64[us]")).astype(np.int64)
-        new_session = np.ones(len(ts), dtype=np.int64)
-        new_session[1:] = (np.diff(ts) > gap_us).astype(np.int64)
-        sid = np.cumsum(new_session) - 1
-        df = pd.DataFrame({"session_idx": sid, "t": ts})
-        agg = df.groupby("session_idx", as_index=False).agg(
-            n_events=("t", "size"), start=("t", "min"), end=("t", "max")
-        )
-        return pd.DataFrame(
-            {
-                "user_id": np.int64(group["user_id"].iloc[0]),
-                "session_idx": agg["session_idx"].to_numpy(np.int64),
-                "n_events": agg["n_events"].to_numpy(np.int64),
-                "start_epoch": agg["start"].to_numpy(np.int64) // 1_000_000,
-                "end_epoch": agg["end"].to_numpy(np.int64) // 1_000_000,
-            }
+    def sessions(events: pd.DataFrame) -> pd.DataFrame:
+        _g, u, ts, new_user = _by_user(events)
+        new = new_user.copy()
+        new[1:] |= np.diff(ts) > gap_us
+        sid = np.cumsum(new)
+        # sessions counted from 0 again at every user's first event
+        first = np.maximum.accumulate(np.where(new_user, sid, 0))
+        df = pd.DataFrame({"user_id": u, "session_idx": sid - first, "t": ts // 1_000_000})
+        return df.groupby(["user_id", "session_idx"], as_index=False).agg(
+            n_events=("t", "size"), start_epoch=("t", "min"), end_epoch=("t", "max")
         )
 
-    return ds.groupby("user_id").map_groups(per_user, batch_format="pandas")
+    return co_partition(sessions, events=_events(sf_dir, ["user_id", "ts"]))
 
 
 def asof_last_view(sf_dir: str):
     """As-of join: for every 'purchase' event, the most recent 'view' by
-    the same user at or before it (ray_guide as-of pattern: sort within the
-    user group, pd.merge_asof backward). NULL view_epoch when no prior view.
+    the same user at or before it (one ``pd.merge_asof`` backward, by
+    user). NULL view_epoch when no prior view.
 
     -> (user_id, purchase_epoch, view_epoch nullable), epoch = floor seconds.
-    Partitioning assumption: one user's events fit one group (same as
-    sessionize).
     """
-    ds = read(sf_dir, "events", columns=["user_id", "ts", "event_type"])
 
-    def per_user(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values("ts", kind="stable")
-        purchases = g[g["event_type"] == "purchase"][["ts"]]
-        views = g[g["event_type"] == "view"][["ts"]].rename(columns={"ts": "view_ts"})
-        if purchases.empty:
-            return pd.DataFrame(
-                {
-                    "user_id": pd.Series([], dtype=np.int64),
-                    "purchase_epoch": pd.Series([], dtype=np.int64),
-                    "view_epoch": pd.Series([], dtype=np.float64),
-                }
-            )
-        merged = pd.merge_asof(
-            purchases, views, left_on="ts", right_on="view_ts", direction="backward"
-        )
-
-        def to_epoch(s):
-            return s.astype("datetime64[us]").astype("int64") // 1_000_000
-
+    def last_view(events: pd.DataFrame) -> pd.DataFrame:
+        ts = events["ts"].to_numpy("datetime64[us]").view(np.int64)
+        e = events.assign(ts=ts, epoch=ts // 1_000_000).sort_values("ts", kind="mergesort")
+        cols = ["user_id", "ts", "epoch"]
+        buys = e.loc[e["event_type"] == "purchase", cols].rename(columns={"epoch": "purchase_epoch"})
+        views = e.loc[e["event_type"] == "view", cols].rename(columns={"epoch": "view_epoch"})
+        m = pd.merge_asof(buys, views, on="ts", by="user_id", direction="backward")
         # view_epoch carried as float64 (NaN = no prior view): pandas
         # nullable Int64 does not survive the Arrow conversion, and epoch
         # seconds are exact in float64
-        ve = to_epoch(merged["view_ts"].fillna(pd.Timestamp(0))).astype(np.float64)
-        ve[merged["view_ts"].isna().to_numpy()] = np.nan
-        return pd.DataFrame(
-            {
-                "user_id": np.int64(group["user_id"].iloc[0]),
-                "purchase_epoch": to_epoch(merged["ts"]).astype(np.int64),
-                "view_epoch": ve.to_numpy(),
-            }
-        )
+        return m.astype({"view_epoch": np.float64})[["user_id", "purchase_epoch", "view_epoch"]]
 
-    return ds.groupby("user_id").map_groups(per_user, batch_format="pandas")
+    return co_partition(last_view, events=_events(sf_dir, ["user_id", "ts", "event_type"]))
 
 
 ASOF_LAST_VIEW_SQL = """
@@ -144,10 +133,10 @@ FROM numbered GROUP BY user_id, session_idx
 #
 # Distributed form: one co-partition on user_id co-locates each user's
 # events; inside a group ONE mergesort orders every user's stream and a
-# per-step vectorized scan (segment-first 'view', then searchsorted for
-# the first later 'click', then 'purchase') resolves all users at once.
-# Timestamps stay int64 microseconds end-to-end (exact, no tz/unit
-# drift), absent steps are -1.
+# per-step vectorized scan resolves all users at once: the rows of the
+# step's event type later than the user's previous step, and each user's
+# first such row.  Timestamps stay int64 microseconds end-to-end (exact,
+# no tz/unit drift), absent steps are -1.
 
 FUNNEL_STEPS = ("view", "click", "purchase")
 
@@ -158,52 +147,31 @@ def funnel_steps(sf_dir: str):
     counts completed steps (0..3), missing steps are -1.  Value-exact
     DuckDB twin in :func:`funnel_steps_sql`."""
 
-    def per_user(events: pd.DataFrame) -> pd.DataFrame:
-        g = events.sort_values(["user_id", "ts"], kind="mergesort")
-        u = g["user_id"].to_numpy(np.int64)
-        ts = g["ts"].to_numpy("datetime64[us]").view(np.int64)
+    def steps(events: pd.DataFrame) -> pd.DataFrame:
+        g, u, ts, new = _by_user(events)
         et = g["event_type"].to_numpy(object)
-        new = np.ones(len(u), dtype=bool)
-        new[1:] = u[1:] != u[:-1]
-        starts = np.flatnonzero(new)
-        ends = np.append(starts[1:], len(u))
-        users = u[starts]
-        t = np.full((3, len(users)), -1, dtype=np.int64)
-        # per-user slices; steps resolved with boolean masks (user
-        # streams are short — the heavy lifting was the exchange).
-        # "After" is STRICT TIME (ts > previous step's ts), matching the
-        # SQL twin even when events share a microsecond.
-        for k, (s, e) in enumerate(zip(starts, ends)):
-            prev = np.int64(-(1 << 62))  # before any real timestamp
-            for step, name in enumerate(FUNNEL_STEPS):
-                idx = np.flatnonzero(
-                    (et[s:e] == name) & (ts[s:e] > prev)
-                )
-                if len(idx) == 0:
-                    break
-                t[step, k] = ts[s + idx[0]]
-                prev = t[step, k]
-        reached = (t >= 0).sum(axis=0).astype(np.int64)
+        user = np.cumsum(new) - 1  # each row's user, numbered 0..
+        t = np.full((len(FUNNEL_STEPS), int(new.sum())), -1, dtype=np.int64)
+        prev = np.full(t.shape[1], np.iinfo(np.int64).min)
+        for step, name in enumerate(FUNNEL_STEPS):
+            # "after" is STRICT TIME (ts > previous step's ts), matching
+            # the SQL twin even when events share a microsecond
+            rows = np.flatnonzero((et == name) & (ts > prev[user]))
+            found, first = np.unique(user[rows], return_index=True)
+            t[step, found] = ts[rows[first]]
+            prev = np.full(t.shape[1], np.iinfo(np.int64).max)  # a missed step ends the funnel
+            prev[found] = t[step, found]
         return pd.DataFrame(
             {
-                "user_id": users,
-                "reached": reached,
+                "user_id": u[new],
+                "reached": (t >= 0).sum(axis=0).astype(np.int64),
                 "t1_us": t[0],
                 "t2_us": t[1],
                 "t3_us": t[2],
             }
         )
 
-    # any Arrow timestamp unit is cast to microseconds (the twin's
-    # epoch_us); a finer unit with sub-microsecond digits raises
-    return co_partition(
-        per_user,
-        events=(
-            read(sf_dir, "events", columns=["user_id", "ts", "event_type"]),
-            "user_id",
-            {"user_id": pa.int64(), "ts": pa.timestamp("us"), "event_type": pa.string()},
-        ),
-    )
+    return co_partition(steps, events=_events(sf_dir, ["user_id", "ts", "event_type"]))
 
 
 def funnel_steps_sql() -> str:

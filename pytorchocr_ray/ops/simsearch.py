@@ -596,15 +596,14 @@ def train_residual_codebooks(
 def _load_codebooks(path: str, m: int, k: int) -> np.ndarray:
     import pyarrow.parquet as pq
 
-    df = pq.read_table(path).to_pandas().sort_values(["sub", "code"])
-    d = len(df["qd"].iloc[0])
+    df = pq.read_table(path).to_pandas()
+    sub, code = df["sub"].to_numpy(np.int64), df["code"].to_numpy(np.int64)
+    qd = np.stack(df["qd"].to_numpy())
     # kk from the data, not the k param — a corpus smaller than k trains
     # fewer codes, and a zero-padded phantom codeword would win argmin
     # ties the SQL twin (which only sees real rows) can't see
-    kk = int(df["code"].max()) + 1
-    out = np.zeros((m, kk, d), dtype=np.int64)
-    for _, row in df.iterrows():
-        out[int(row["sub"]), int(row["code"])] = np.asarray(row["qd"])
+    out = np.zeros((m, int(code.max()) + 1, qd.shape[1]), dtype=np.int64)
+    out[sub, code] = qd
     return out
 
 

@@ -121,3 +121,13 @@ def test_fn_may_return_pandas_or_arrow(ray_session, as_arrow):
 
     out = co_partition(fn, left=(left, "k", {"k": pa.int64(), "x": pa.int64()})).to_pandas()
     assert sorted(out["x2"]) == list(range(200))
+
+
+def test_map_groups_only_in_co_partition():
+    """Every keyed close-out in ops/ goes through co_partition: Ray's
+    ``map_groups`` is called once, inside co_partition itself."""
+    import pathlib
+
+    ops = pathlib.Path(__file__).resolve().parents[1] / "pytorchocr_ray" / "ops"
+    sites = {p.name: p.read_text().count(".map_groups(") for p in sorted(ops.glob("*.py"))}
+    assert {name: n for name, n in sites.items() if n} == {"__init__.py": 1}

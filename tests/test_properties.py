@@ -287,3 +287,54 @@ def test_sketch_quantile_on_full_sample_is_exact(n, k, pct, seed):
     est = sketch_quantile(vals, pct)
     exact = float(np.sort(vals)[-(-pct * n // 100) - 1])
     assert est == exact
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(0, 20)), max_size=40),
+    st.sampled_from([None, 2, 3, 5]),
+)
+def test_bucket_pairs_match_per_bucket_triu(rows, max_n):
+    """dedup._bucket_pairs, one vectorized pass over every bucket, yields
+    exactly the per-bucket upper triangle over doc_id-sorted members of
+    every bucket with 2..max_n rows."""
+    import pandas as pd
+
+    from pytorchocr_ray.ops.dedup import _bucket_pairs
+
+    df = pd.DataFrame(rows, columns=["band", "key", "doc_id"], dtype=np.int64)
+    i, j = _bucket_pairs(df, ["band", "key"], max_n)
+    ids = df["doc_id"].to_numpy()
+    assert (df["band"].to_numpy()[i] == df["band"].to_numpy()[j]).all()
+    got = sorted(zip(ids[i].tolist(), ids[j].tolist()))
+    want = []
+    for _k, b in df.groupby(["band", "key"]):
+        if 2 <= len(b) <= (max_n or len(df)):
+            s = np.sort(b["doc_id"].to_numpy())
+            a, c = np.triu_indices(len(s), 1)
+            want += zip(s[a].tolist(), s[c].tolist())
+    assert got == sorted(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from("abc"), st.integers(-50, 50), st.integers(1, 9)),
+             min_size=1, max_size=60),
+    st.integers(1, 100),
+)
+def test_key_quantiles_match_quantile_threshold(hist, pct):
+    """relational._key_quantiles, every key at once over unsorted,
+    repeated histogram rows, equals textstats.quantile_threshold per key."""
+    import pandas as pd
+
+    from pytorchocr_ray.ops.relational import _key_quantiles
+    from pytorchocr_ray.ops.textstats import quantile_threshold
+
+    df = pd.DataFrame(hist, columns=["k", "cents", "c"])
+    got = _key_quantiles(df, "k", pct).set_index("k")
+    for k, g in df.groupby("k"):
+        h = g.groupby("cents")["c"].sum()
+        want = quantile_threshold(h.index.to_numpy(np.int64), h.to_numpy(np.int64), pct)
+        assert got.loc[k, "p_cents"] == want
+        assert got.loc[k, "n"] == h.sum()
+    assert len(got) == df["k"].nunique()
