@@ -3,8 +3,9 @@
 A from-scratch reimplementation of the query/data-processing capabilities of
 the PyTorchOCR reference (detect -> reading-order sort -> recognize -> per-doc
 reassembly) expressed as ``ray.data.Dataset`` pipelines of ``map_batches``
-over zero-copy Arrow batches, with actor pools for the stateful model stages
-and a single ``groupby(doc_id)`` shuffle for span reassembly.
+over zero-copy Arrow batches, with the stateful model stages built once per
+worker process inside fused task operators, and an optional
+``groupby(doc_id)`` shuffle for span reassembly.
 
 Layout:
   functions/  pure numpy/pyarrow kernels shared by the pipeline AND the oracle
@@ -13,7 +14,7 @@ Layout:
   synth/      deterministic synthetic corpus generator (interleaved documents
               + PNG media sidecar + generator-known ground truth)
   oracle/     single-process reference implementation (golden output)
-  stages/     Ray Data stage functions / actor classes
+  stages/     Ray Data stage functions / warm stage classes
   pipelines/  end-to-end pipeline composition + partitioned resumable runner
   ops/        large-scale training-data ops (dedup, simsearch, text stats,
               relational) over generic Arrow tables

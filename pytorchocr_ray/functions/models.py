@@ -21,7 +21,7 @@ pure-numpy networks with the same I/O contracts as the reference's models:
 
 All weights come from :mod:`pytorchocr_ray.state.weights` (seeded artifact;
 no downloads). Everything here is stateless math over the weight arrays —
-actors hold an instance per process (warm weights), the oracle holds one too.
+Ray stages hold an instance per process (warm weights), the oracle holds one too.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def _conv1d_axis(img: np.ndarray, k: np.ndarray, axis: int) -> np.ndarray:
 
     For the 9/13-tap smoothing profiles this beats FFT ~3x at media-image
     sizes and is exactly deterministic (pure adds, fixed order). float32
-    throughout: the stage is memory-bandwidth bound when ~30 actor
+    throughout: the stage is memory-bandwidth bound when ~30 worker
     processes run concurrently, and halving the element size nearly halves
     the contended cost.
     """
@@ -55,7 +55,7 @@ def _conv1d_axis(img: np.ndarray, k: np.ndarray, axis: int) -> np.ndarray:
     out = np.zeros(img.shape, dtype=np.float32)
     tmp = np.empty(img.shape, dtype=np.float32)  # reused per tap: the
     # naive `out += k*view` allocates a fresh image-sized temp every tap
-    # (22 allocations per conv) — real cost under 30 concurrent actors
+    # (22 allocations per conv) — real cost under 30 concurrent workers
     kf = k.astype(np.float32)
     for i in range(taps):
         sl[axis] = slice(i, i + n)

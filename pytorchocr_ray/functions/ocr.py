@@ -1,6 +1,6 @@
 """Single-image OCR composition: detect -> order -> crop -> (cls) -> recognize.
 
-This is the shared core that BOTH the Ray actor stages and the single-process
+This is the shared core that BOTH the Ray OCR stages and the single-process
 oracle call — parity by construction. It mirrors the reference's per-image
 flow (deploy/pytorch/run_ocr.py:168-231):
 
@@ -44,7 +44,7 @@ class OcrConfig:
 
 
 class OcrEngine:
-    """Holds warm det/rec/cls models; one instance per actor / per oracle."""
+    """Holds warm det/rec/cls models; one instance per worker process / per oracle."""
 
     def __init__(self, weights: dict[str, np.ndarray], config: OcrConfig | None = None):
         self.cfg = config or OcrConfig()

@@ -1,7 +1,7 @@
 """Model-evaluation ops — the reference's eval loop (tools/program.py:421-473)
 recast as Ray partial+final aggregation.
 
-Per media image an actor computes the counter triple/tuple (a cheap partial);
+Per media image a worker computes the counter triple/tuple (a cheap partial);
 ``Dataset.sum`` over the counter columns is the only reduction; the final
 ratios are computed on the driver from 3 numbers — the textbook shape of
 ``DetMetric.combine_results`` (pytocr/metrics/det_metric.py:41-55).
@@ -36,7 +36,7 @@ def media_eval_counters(
 ) -> tuple[int, int, int, int, int, int]:
     """One image -> (gt_care, det_care, matched, rec_exact, rec_sim_u,
     rec_n) integer counters.  Pure per-image kernel shared by the Ray
-    actor stage and the single-process oracle (oracle/metrics.py) so both
+    stage and the single-process oracle (oracle/metrics.py) so both
     sides sum the exact same integers."""
     results = engine.ocr_image(gray)
     # the det stage emits unclip-expanded boxes BY CONSTRUCTION
@@ -93,7 +93,7 @@ class _EvalStage:
 
     ``gt_ref`` is either a (broadcast) dict / ObjectRef of one — the
     small-sidecar path — or a ``{"dir", "shard_size"}`` descriptor, in
-    which case each actor fetches only the GT shards its rows touch
+    which case each worker fetches only the GT shards its rows touch
     (same key-addressed store as the media payloads; the 100 TB path)."""
 
     def __init__(self, gt_ref=None):
@@ -144,11 +144,11 @@ def evaluate_corpus(
     import ray
     import ray.data as rd
 
-    from ..pipelines.extract import pool_resources
+    from ..stages.warm import map_stage
 
     media_path = f"{corpus_dir}/media" if sharded else f"{corpus_dir}/media.parquet"
     if sharded:
-        # key-addressed GT shards fetched actor-side: a whole-dict ray.put
+        # key-addressed GT shards fetched worker-side: a whole-dict ray.put
         # broadcast grows without bound with the evaluated corpus
         gt_ref = {"dir": f"{corpus_dir}/media_gt", "shard_size": shard_size}
     else:
@@ -156,16 +156,9 @@ def evaluate_corpus(
         gt = dict(zip(gt_t["media_ref"].to_pylist(), gt_t["regions"].to_pylist()))
         gt_ref = ray.put(gt)
 
-    n, actor_cpus = pool_resources(cap=8, concurrency=concurrency)
     ds = rd.read_parquet(media_path, columns=["media_ref", "data"])
-    counters = ds.map_batches(
-        _EvalStage,
-        batch_format="pyarrow",
-        batch_size=16,
-        concurrency=n,
-        num_cpus=actor_cpus,
-        fn_constructor_kwargs={"gt_ref": gt_ref},
-    )
+    counters = map_stage(ds, _EvalStage, {"gt_ref": gt_ref}, batch_size=16,
+                         concurrency=concurrency)
     from ray.data.aggregate import Sum
 
     # ONE global aggregate pass for all six counters (per-column .sum()

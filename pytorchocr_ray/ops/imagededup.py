@@ -20,7 +20,7 @@ duplicate grouping in SQL; a hash-verified match therefore checks BOTH
 the engine's decode+hash kernel against the oracle's and the distributed
 grouping against SQL semantics.
 
-Scale shape: decode+hash is an actor-pool ``map_batches`` over the
+Scale shape: decode+hash is a warm-stage task ``map_batches`` over the
 sharded media table (payload bytes never shuffle); the only exchange is
 the groupby on the 8-byte hash.  The synthetic corpus has no planted
 byte-duplicates, so on testdata the groups are singletons (the kernel
@@ -162,10 +162,9 @@ def oracle_dhash_fixture(media_dir: str) -> str:
 
 
 class DHashStage:
-    """Actor-pool decode+hash stage: PNG decoder state is trivial, but the
-    actor form keeps the fat payload batches off the task-submission path
-    and matches the OcrStage deployment shape (batch in -> per-image
-    decode, vectorized hash kernel per image)."""
+    """Decode+hash stage (batch in -> per-image decode, vectorized hash
+    kernel per image), run like ``OcrStage`` through
+    :func:`~..stages.warm.map_stage`, so it fuses with the read."""
 
     def __init__(self) -> None:
         from ..functions.png import decode_gray
@@ -187,24 +186,14 @@ def image_dhash(
     media_dir: str, concurrency: int | None = None, batch_size: int = 64
 ):
     """(media_ref, dhash) over a media parquet table/dir — the hash pass
-    alone (no shuffle).  The pool comes from
-    :func:`~..pipelines.extract.pool_resources` (at most 32 actors by
-    default), which keeps a whole CPU for the read and for the task after
-    the pool: a pool holding every CPU starves the upstream tasks and stalls
-    the streaming executor (observed as a livelock in a 4-cpu session)."""
+    alone (no shuffle), on ``concurrency`` workers
+    (:func:`~..stages.warm.map_stage`)."""
     import ray.data as rd
 
-    from ..pipelines.extract import pool_resources
+    from ..stages.warm import map_stage
 
-    n, actor_cpus = pool_resources(cap=32, concurrency=concurrency)
     ds = rd.read_parquet(_media_files(media_dir))
-    return ds.map_batches(
-        DHashStage,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=n,
-        num_cpus=actor_cpus,
-    )
+    return map_stage(ds, DHashStage, batch_size=batch_size, concurrency=concurrency)
 
 
 def image_dhash_dups(media_dir: str, concurrency: int | None = None):

@@ -11,18 +11,18 @@
   its ``_SUCCESS`` marker records the plan). Each input byte is read once
   for planning and once for extraction.
 * **One pass, ordered commit**: every pending partition runs through ONE
-  Ray Data pass and one warm OCR actor pool, reading the partitions' files
-  in plan order with block order preserved. Each partition is committed
-  (temp dir renamed to ``part=<b>.<s>``, then a ``_COMMITTED_<b>_<s>.json``
-  lineage marker) as soon as the pass moves on to a later one. A restarted
-  run skips a partition only if its marker's row count matches its parquet
-  footers — the batch-pipeline form of the reference's epoch checkpoints
-  (pytocr/utils/save_load.py:104-129, tools/program.py:387-410).
+  Ray Data pass, one fused operator with warm OCR stages, reading the
+  partitions' files in plan order with block order preserved. Each
+  partition is committed (temp dir renamed to ``part=<b>.<s>``, then a
+  ``_COMMITTED_<b>_<s>.json`` lineage marker) as soon as the pass moves on
+  to a later one. A restarted run skips a partition only if its marker's
+  row count matches its parquet footers — the batch-pipeline form of the
+  reference's epoch checkpoints (pytocr/utils/save_load.py:104-129,
+  tools/program.py:387-410).
 """
 
 from __future__ import annotations
 
-import gc
 import json
 import logging
 import os
@@ -302,20 +302,20 @@ def run_partitioned(
 ) -> dict:
     """Run extraction over hash partitions, committing each with a marker.
 
-    Every pending partition goes through ONE Ray Data pass and one OCR actor
-    pool (``concurrency`` actors, default
-    :func:`~.extract.default_concurrency`). The pass reads the partitions'
-    files from the plan-keyed layout (:func:`write_bucketed_input`) as one
-    list in plan order and keeps block order, so a partition's rows all
-    leave it before the next one's. Its last map, :func:`_commit_block`,
-    writes the rows; this process commits a partition (:func:`_commit`:
-    rename, then marker) once a partial of a later one arrives, and the rest
-    when the stream ends. An empty sub-partition commits an empty dir.
+    Every pending partition goes through ONE Ray Data pass on
+    ``concurrency`` workers (default :func:`~.extract.default_concurrency`).
+    The pass reads the partitions' files from the plan-keyed layout
+    (:func:`write_bucketed_input`) as one list in plan order and keeps
+    block order, so a partition's rows all leave it before the next one's.
+    Its last map, :func:`_commit_block`, writes the rows; this process
+    commits a partition (:func:`_commit`: rename, then marker) once a
+    partial of a later one arrives, and the rest when the stream ends. An
+    empty sub-partition commits an empty dir.
 
     ``fail_after=k`` injects a crash after exactly k commits (resume tests);
     the pass then reads only the first k pending partitions, so the crash
     wastes no OCR. However the pass ends, its iterator is closed so that
-    its actors free their CPUs. Returns a summary: partitions run /
+    its tasks free their CPUs. Returns a summary: partitions run /
     skipped, lineage list.
     """
     from ..state.weights import put_weights
@@ -356,13 +356,9 @@ def run_partitioned(
         if fail_after is not None and len(lineage) == fail_after:
             raise RuntimeError(f"injected failure after {fail_after} partitions")
     finally:
-        # the pass's actors keep their CPUs until its iterator is closed, no
-        # frame (a raised exception's included) refers to it, and the cyclic
-        # GC has collected Ray's handles (see pool_resources)
+        # closing the iterator ends the pass and frees its CPUs
         commits.close()
         batches.close()
-        del batches, commits
-        gc.collect()
     return {
         "ran": sorted(r["partition"] for r in lineage),
         "skipped": sorted(skipped),

@@ -1,6 +1,6 @@
 """Table-structure pipeline: pubtab JSONL -> decoded structure rows.
 
-    read_pubtab_jsonl ──mb-actor──> TableStage (encode stub -> probs ->
+    read_pubtab_jsonl ──mb──> TableStage (encode stub -> probs ->
         TableLabelDecode with bbox denorm) ──> (filename, structure,
         n_cells, bbox_sum)
 
@@ -58,7 +58,7 @@ def _out_table(rows: list[tuple[str, str, int, int]]) -> pa.Table:
 
 
 class TableStage:
-    """Actor-pool stage: decode built once per actor, vectorized-ish per
+    """Warm stage: decode built once per worker process, vectorized-ish per
     row (each row is one table — model-call granularity, not scalar work)."""
 
     def __init__(self, merge_no_span_structure: bool = False):
@@ -115,17 +115,10 @@ class TableImageStage:
 
 def table_structure_ds(jsonl_path: str, concurrency: int | None = None, **params):
     from ..sources.label_files import read_pubtab_jsonl
-    from .extract import pool_resources
+    from ..stages.warm import map_stage
 
-    n, actor_cpus = pool_resources(cap=4, concurrency=concurrency)
-    ds = read_pubtab_jsonl(jsonl_path)
-    return ds.map_batches(
-        TableStage,
-        batch_format="pyarrow",
-        concurrency=n,
-        num_cpus=actor_cpus,
-        fn_constructor_kwargs=params,
-    )
+    return map_stage(read_pubtab_jsonl(jsonl_path), TableStage, params,
+                     concurrency=concurrency)
 
 
 def table_structure_from_images(
@@ -136,15 +129,7 @@ def table_structure_from_images(
     a full decoded page (fat binary payloads)."""
     import ray.data as rd
 
-    from .extract import pool_resources
+    from ..stages.warm import map_stage
 
-    n, actor_cpus = pool_resources(cap=4, concurrency=concurrency)
-    ds = rd.read_parquet(images_parquet)
-    return ds.map_batches(
-        TableImageStage,
-        batch_format="pyarrow",
-        batch_size=32,
-        concurrency=n,
-        num_cpus=actor_cpus,
-        fn_constructor_kwargs=params,
-    )
+    return map_stage(rd.read_parquet(images_parquet), TableImageStage, params,
+                     batch_size=32, concurrency=concurrency)

@@ -15,13 +15,15 @@ Here the extension surface is an explicit dict of stage factories — no
     ds = build_pipeline(rd.read_parquet(path), spec)
 
 Registered stages: ``explode_spans``, ``normalize_text``, ``add_bucket``,
-``ocr`` (the fused :class:`~.stages.ocr_stage.OcrStage` actor, the one OCR
-plan), ``project``, ``reassemble_local`` and ``reassemble_shuffle``.
+``ocr`` (the fused :class:`~.stages.ocr_stage.OcrStage`, the one OCR plan),
+``project``, ``reassemble_local`` and ``reassemble_shuffle``.
 
-A stage factory receives its ``params`` and returns either
-``("batches", fn_or_class, map_batches_kwargs)`` or
-``("dataset", fn)`` where fn maps Dataset -> Dataset (for groupby etc.).
-Users register their own with :func:`register_stage`.
+A stage factory receives its ``params`` and returns one of
+``("batches", fn, map_batches_kwargs)``, ``("stage", cls, cls_kwargs)`` — a
+warm class run by :func:`~.stages.warm.map_stage`, whose ``batch_size`` and
+``concurrency`` come from the step's ``compute`` — or ``("dataset", fn)``
+where fn maps Dataset -> Dataset (for groupby etc.). Users register their
+own with :func:`register_stage`.
 """
 
 from __future__ import annotations
@@ -68,11 +70,7 @@ def _bucket(n_buckets: int = 16, **_params):
 def _ocr(**params):
     from .stages.ocr_stage import OcrStage
 
-    return (
-        "batches",
-        OcrStage,
-        {"batch_format": "pyarrow", "fn_constructor_kwargs": params},
-    )
+    return ("stage", OcrStage, params)
 
 
 @register_stage("project")
@@ -113,14 +111,13 @@ def build_pipeline(ds, spec: list[dict[str, Any]]):
             )
         kind, fn, *rest = STAGES[name](**step.get("params", {}))
         kwargs = rest[0] if rest else {}
+        compute = step.get("compute", {})
         if kind == "dataset":
             ds = fn(ds)
-        else:
-            kwargs = {**kwargs, **step.get("compute", {})}
-            if isinstance(fn, type):  # an actor pool: the one pool rule
-                from .pipelines.extract import pool_resources
+        elif kind == "stage":
+            from .stages.warm import map_stage
 
-                n, actor_cpus = pool_resources(concurrency=kwargs.get("concurrency"))
-                kwargs = {"num_cpus": actor_cpus, **kwargs, "concurrency": n}
-            ds = ds.map_batches(fn, **kwargs)
+            ds = map_stage(ds, fn, kwargs, **compute)
+        else:
+            ds = ds.map_batches(fn, **{**kwargs, **compute})
     return ds

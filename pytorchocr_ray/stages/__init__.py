@@ -1,1 +1,1 @@
-"""Ray Data stage functions / actor classes for the extraction pipeline."""
+"""Ray Data stage functions / warm stage classes for the extraction pipeline."""

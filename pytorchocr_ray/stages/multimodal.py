@@ -1,5 +1,5 @@
-"""Multimodal columns: opaque binary payloads + typed metadata as actor-pool
-map_batches stages.
+"""Multimodal columns: opaque binary payloads + typed metadata as warm-stage
+map_batches stages (:func:`~.warm.map_stage`).
 
 Images are first-class in this engine (PNG codec + OCR). For audio/video
 each stage takes a ``decoder=`` injection point with two implementations:
@@ -27,7 +27,7 @@ Stages:
     (energy, zero-crossing-rate) feature columns
   * :class:`VideoFrameSampleStage` — decode -> sample every k-th frame ->
     one output row per sampled frame with its mean luma
-Both follow the same actor-pool shape as OcrStage: config once in
+Both follow the same warm-stage shape as OcrStage: config once in
 __init__, vectorized numpy per batch, small batch sizes for fat rows.
 """
 
@@ -448,32 +448,24 @@ class VideoFrameSampleStage:
         )
 
 
-def _actor_map(ds, stage, concurrency, batch_size, params):
-    from ..pipelines.extract import pool_resources
-
-    n, actor_cpus = pool_resources(cap=8, concurrency=concurrency)
-    return ds.map_batches(
-        stage,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=n,
-        num_cpus=actor_cpus,
-        fn_constructor_kwargs=params,
-    )
-
-
 def audio_features(
     ds, concurrency: int | None = None, batch_size: int = 8, **params
 ):
-    """Binary payload stage: small batch_size on purpose (fat rows). The
-    pool comes from :func:`~..pipelines.extract.pool_resources`."""
-    return _actor_map(ds, AudioFeatureStage, concurrency, batch_size, params)
+    """Binary payload stage: small batch_size on purpose (fat rows), on
+    ``concurrency`` workers (:func:`~.warm.map_stage`)."""
+    from .warm import map_stage
+
+    return map_stage(ds, AudioFeatureStage, params, batch_size=batch_size,
+                     concurrency=concurrency)
 
 
 def video_frame_samples(
     ds, concurrency: int | None = None, batch_size: int = 4, **params
 ):
-    return _actor_map(ds, VideoFrameSampleStage, concurrency, batch_size, params)
+    from .warm import map_stage
+
+    return map_stage(ds, VideoFrameSampleStage, params, batch_size=batch_size,
+                     concurrency=concurrency)
 
 
 # ----------------------------------------------------------------- SQL twins

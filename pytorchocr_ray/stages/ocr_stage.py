@@ -1,14 +1,15 @@
-"""The OCR actor stage — the map_batches callable class.
+"""The OCR stage — a warm class run per worker process.
 
 :class:`OcrStage` runs decode -> det -> DB post -> sort -> crop -> cls ->
-rec -> CTC in one actor pool (``OcrEngine``), with no decoded images or
-crops shipped through the object store, and builds its output rows with
-:func:`emit_rows`.
+rec -> CTC in one call (``OcrEngine``), with no decoded images or crops
+shipped through the object store, and builds its output rows with
+:func:`emit_rows`. ``stages.warm.map_stage`` builds it once per Ray worker
+process and runs it inside the pass's one fused task operator.
 
-Weights arrive as a ``ray.put`` ObjectRef loaded once per actor, like the
+Weights arrive as a ``ray.put`` ObjectRef loaded once per process, like the
 reference's load-once-per-process ``OCRer.__init__``
 (deploy/pytorch/run_ocr.py:51-165). Media payloads are looked up inside the
-actors: by default from a sharded parquet store each actor reads lazily
+workers: by default from a sharded parquet store each one reads lazily
 (:class:`ShardedMediaStore`); a small single-file sidecar is a broadcast
 dict. Only media rows are iterated in Python, each a full model inference.
 """
@@ -53,11 +54,11 @@ def _get(maybe_ref):
 
 
 class ShardedMediaStore:
-    """Actor-side lazy payload store over a sharded parquet directory.
+    """Worker-side lazy payload store over a sharded parquet directory.
 
     ``media_ref`` encodes its shard ("img-<docidx>-<k>", shard = docidx
     rounded down to shard_size) — the same contract as object storage where
-    the key embeds the partition. Each actor reads only the shards its doc
+    the key embeds the partition. Each worker reads only the shards its doc
     rows touch (blocks are contiguous doc ranges, so the small LRU hits
     almost always), instead of the driver broadcasting every payload. This
     is the 100 TB-safe path; the broadcast dict remains for small sidecars.
@@ -171,7 +172,7 @@ def emit_rows(
     ridx[region_pos] = within
     cols["region_idx"] = pa.array(ridx)
     # Arrow kernels release the GIL, which costs a thread switch in a busy
-    # actor process: a batch without media rows makes none here
+    # worker process: a batch without media rows makes none here
     cols["media_ref"] = pa.array([""] * n_out, pa.string())
     cols["text"] = taken["text"]
     cols["prob"] = pa.nulls(n_out, pa.float32())
@@ -194,7 +195,7 @@ def emit_rows(
 
 
 class OcrStage:
-    """Fused decode+det+post+crop+cls+rec actor. Input: exploded span rows;
+    """Fused decode+det+post+crop+cls+rec stage. Input: exploded span rows;
     output: text rows passed through + one row per OCR'd region."""
 
     def __init__(self, weights_ref=None, media_ref=None, config: OcrConfig | None = None):

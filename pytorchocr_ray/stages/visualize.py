@@ -5,9 +5,9 @@ text rendered above each box — the reference uses a TTF font; this engine
 renders with its own glyph bank, so the overlay is dependency-free and
 deterministic.
 
-Ray shape: an actor-pool ``map_batches`` stage (weights + glyph bank built
-once per actor) over media rows, emitting ``(media_ref, vis_png)`` rows
-written as partition-addressed parquet — per-image loose files don't
+Ray shape: a warm-stage task ``map_batches`` (weights + glyph bank built
+once per worker process) over media rows, emitting ``(media_ref,
+vis_png)`` rows written as partition-addressed parquet — per-image loose files don't
 survive object storage at 100 TB; a keyed binary column does (SURVEY §2.1
 maps the per-image writers the same way).
 """
@@ -131,20 +131,13 @@ def visualize_corpus(
     mode: str = "ocr", batch_size: int = 16,
 ):
     """Write (media_ref, vis_png) parquet under ``out_dir`` for every
-    decodable media row. Small batches: rows carry full images. The pool
-    comes from :func:`~..pipelines.extract.pool_resources`."""
+    decodable media row. Small batches: rows carry full images. Runs on
+    ``concurrency`` workers (:func:`~.warm.map_stage`)."""
     import ray.data as rd
 
-    from ..pipelines.extract import pool_resources
+    from .warm import map_stage
 
-    n, actor_cpus = pool_resources(concurrency=concurrency)
-    ds = rd.read_parquet(media_path, columns=["media_ref", "data"]).map_batches(
-        VisualizeStage,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=n,
-        num_cpus=actor_cpus,
-        fn_constructor_kwargs={"mode": mode},
-    )
-    ds.write_parquet(out_dir)
+    ds = rd.read_parquet(media_path, columns=["media_ref", "data"])
+    map_stage(ds, VisualizeStage, {"mode": mode}, batch_size=batch_size,
+              concurrency=concurrency).write_parquet(out_dir)
     return out_dir

@@ -4,9 +4,10 @@ The reference loads torch checkpoints once per process
 (pytocr/utils/save_load.py:27-129, deploy/pytorch/run_ocr.py:100-103); here
 weights are a deterministic seeded artifact: :func:`build_weights` constructs
 them, :func:`save_weights` / :func:`load_weights` round-trip an ``.npz`` so
-actor ``__init__`` can load from a shared path, and the driver-side
-:func:`put_weights` broadcasts them ONCE via ``ray.put`` so every actor
-reads the same object-store copy instead of re-shipping per task.
+a stage ``__init__`` can load from a shared path, and :func:`put_weights`
+broadcasts them ONCE via ``ray.put`` from the process that builds the
+pipeline, so every worker process reads the same object-store copy instead
+of re-shipping per task.
 """
 
 from __future__ import annotations
@@ -52,8 +53,9 @@ def load_weights(path: str) -> dict[str, np.ndarray]:
 
 
 def put_weights(seed: int = WEIGHT_SEED):
-    """Broadcast the weights once: ray.put on the driver, ray.get in actor
-    __init__ (zero-copy reads from the local object store on every node)."""
+    """Broadcast the weights once: ray.put where the pipeline is built,
+    ray.get in a stage __init__ (zero-copy reads from the local object store
+    on every node)."""
     import ray
 
     return ray.put(build_weights(seed))

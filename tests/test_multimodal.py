@@ -118,7 +118,7 @@ def test_real_video_decode_y4m_roundtrip():
 
 
 def test_audio_feature_stage_on_real_wav(ray_session):
-    """The actor-pool stage consumes REAL PCM WAV payloads end-to-end via
+    """The warm map stage consumes REAL PCM WAV payloads end-to-end via
     the decoder injection point; features match a direct numpy computation."""
     import pyarrow as pa
     import ray.data as rd
@@ -232,7 +232,7 @@ def test_real_audio_decode_flac_via_soundfile(ray_session):
     # decoder level: FLAC is lossless, samples must round-trip exactly
     out = real_audio_decode(data, n_samples=4096, sample_rate=16000)
     np.testing.assert_array_equal(out, samples.astype(np.int32))
-    # stage level: the same payload through the Ray actor-pool plumbing
+    # stage level: the same payload through the Ray map-stage plumbing
     t = pa.table(
         {
             "sample_ref": pa.array(["flac-0"], pa.string()),
@@ -412,7 +412,7 @@ def test_mulaw_log_quantization_error_bound():
 
 
 def test_mulaw_real_audio_decode_routing(ray_session):
-    """End to end through the actor-pool feature stage: mu-law payloads
+    """End to end through the warm feature stage: mu-law payloads
     produce exactly the reference-decoded features."""
     import os
 

@@ -27,38 +27,30 @@ def golden(small_corpus):
     return _canon(_golden(small_corpus).to_pandas())
 
 
-def test_pool_sizes_leave_two_cpus(monkeypatch):
-    """Every pool runs cpus - 1 actors (at most its cap, never fewer than
-    one), and from 3 CPUs on the actors together claim at most cpus - 2
-    CPUs, so the read and the task after the pool each keep a whole CPU.
-    An explicit pool gets the same split, up to one actor per CPU; a
-    larger one raises at build time."""
-    import gc
-
+def test_concurrency_is_a_cpu_limit(ray_session, small_corpus, monkeypatch):
+    """``concurrency`` is the number of concurrent stage workers: a CPU
+    limit on the Dataset's own context (the global context untouched),
+    ``cpus - 1`` (at least one) by default, and below one it raises."""
     import ray
+    from ray.data import DataContext
 
-    from pytorchocr_ray.pipelines.extract import default_concurrency, pool_resources
+    from pytorchocr_ray.pipelines.extract import default_concurrency, extract_dataset
 
-    monkeypatch.setattr(gc, "collect", lambda: 0)  # sizing only, no pools
+    docs = os.path.join(small_corpus, "documents.parquet")
+    media = os.path.join(small_corpus, "media.parquet")
+    for n in (1, 2, 7):
+        ds = extract_dataset(docs, media, concurrency=n)
+        assert ds.context.execution_options.resource_limits.cpu == n
+    ds = extract_dataset(docs, media)
+    assert ds.context.execution_options.resource_limits.cpu == default_concurrency()
+    assert DataContext.get_current().execution_options.resource_limits.cpu == float("inf")
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match=f"concurrency={bad}"):
+            extract_dataset(docs, media, concurrency=bad)
+
     for cpus in range(1, 65):
         monkeypatch.setattr(ray, "cluster_resources", lambda c=float(cpus): {"CPU": c})
-        assert default_concurrency() == pool_resources()[0]
-        for cap in (None, 4, 8, 32):
-            n, actor_cpus = pool_resources(cap=cap)
-            assert n >= 1 and 0 < actor_cpus <= 1
-            if cpus >= 3:
-                assert n == min(cap or cpus, cpus - 1)
-                assert n * actor_cpus + 2 <= cpus
-            else:
-                assert (n, actor_cpus) == (1, 1.0)
-        limit = cpus if cpus >= 3 else 1
-        for want in range(1, limit + 1):
-            n, actor_cpus = pool_resources(concurrency=want)
-            assert n == want and 0 < actor_cpus <= 1
-            assert cpus < 3 or n * actor_cpus + 2 <= cpus
-        for bad in (0, limit + 1):
-            with pytest.raises(ValueError, match=f"concurrency={bad} .* {cpus} CPUs"):
-                pool_resources(concurrency=bad)
+        assert default_concurrency() == max(1, cpus - 1)
 
 
 def test_reassemble_guard_detects_split_doc():
@@ -287,15 +279,14 @@ def test_text_passes_do_not_stall(ray_session, small_corpus, tmp_path):
 
 
 def test_finished_pool_frees_its_cpus_for_the_next(ray_session, small_corpus):
-    """A finished pool's actors release their CPUs once the next pool is
-    sized, even when Python's automatic GC has not run: their handles sit
-    in reference cycles on the driver."""
+    """A finished pass gives every CPU back within seconds, even when
+    Python's automatic GC has not run."""
     import gc
     import time
 
     import ray
 
-    from pytorchocr_ray.pipelines.extract import extract_dataset, pool_resources
+    from pytorchocr_ray.pipelines.extract import extract_dataset
 
     total = ray.cluster_resources()["CPU"]
     gc.disable()
@@ -305,7 +296,6 @@ def test_finished_pool_frees_its_cpus_for_the_next(ray_session, small_corpus):
             os.path.join(small_corpus, "media.parquet"),
             concurrency=3,
         ).to_pandas()
-        pool_resources()
         deadline = time.monotonic() + 5
         while ray.available_resources().get("CPU", 0) < total and time.monotonic() < deadline:
             time.sleep(0.05)

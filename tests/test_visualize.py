@@ -66,7 +66,7 @@ def test_visualize_stage_ocr_mode_drops_bad_payloads(media_batch):
     vis = decode_gray(out["vis_png"][0].as_py())
     assert vis.shape == img.shape
     assert (vis == 128).sum() > 100  # outlines present
-    # deterministic: a second actor instance produces identical bytes
+    # deterministic: a second stage instance produces identical bytes
     out2 = VisualizeStage(mode="ocr")(t)
     assert out["vis_png"][0].as_py() == out2["vis_png"][0].as_py()
     with pytest.raises(ValueError, match="unknown visualization mode"):
