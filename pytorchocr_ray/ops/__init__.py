@@ -1,15 +1,19 @@
 """Large-scale training-data operators over generic Arrow tables.
 
 Everything here follows the same scale discipline as the extraction
-pipeline: column-pruned reads, vectorized per-batch kernels, partial
-aggregation before any groupby shuffle, broadcast for small sides.
+pipeline: column-pruned reads, vectorized per-batch kernels, per-block
+partial aggregation before the exchange, broadcast for small sides.
 
 :func:`co_partition` is the one keyed exchange: every operator that needs
 all rows of a key in one place (a join side, a hash class, a user's
-events) goes through it, and only it decides the group count, the key
-hash, how the sides are tagged and the block format.  :func:`top_k` is
-the one ranked selection built on it: the first ``k`` rows of each key
-(or of the whole input) by an ordering, with a 1-based ``rank``.
+events, a keyed aggregate) goes through it, and only it decides the group
+count, the key hash, how the sides are tagged and the block format.
+:func:`reduce_by` is the keyed aggregate built on it (per-key sum, min or
+max of block partials), and :func:`top_k` the ranked selection: the first
+``k`` rows of each key (or of the whole input) by an ordering, with a
+1-based ``rank``.  An aggregate whose result is bounded and goes straight
+to the driver (a histogram over a small domain) sums its block partials
+there instead, with no exchange.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ def read(sf_dir: str, table: str, columns=None):
     """Column-pruned parquet read with a size-aware block count.
 
     Ray's default parallelism (~2x cluster CPUs) shatters a small file into
-    tiny blocks, and every downstream sort/groupby then pays per-block
+    tiny blocks, and every downstream exchange then pays per-block
     overhead on all of them — measured 3x wall-time on minhash_pairs at
     sf0.1 (64 blocks of ~9 KB; two verify shuffles dominated by per-block
     fixed cost). Small files get ~64 KiB-of-parquet blocks clamped to
@@ -170,6 +174,19 @@ def co_partition(fn, **sides):
         return fn(**frames)
 
     return u.groupby(_SALT).map_groups(close, batch_format="pyarrow")
+
+
+def reduce_by(ds, key, schema, how="sum"):
+    """Per-key ``how`` ("sum", "min" or "max", a pandas aggregation) of
+    every non-key column of ``schema``, one row per key, in one
+    :func:`co_partition` exchange.  Fed per-block partials (rows already
+    reduced per key within the block), the exchange carries one row per
+    key and block; int64 sums stay exact."""
+    key = [key] if isinstance(key, str) else list(key)
+    return co_partition(
+        lambda rows: rows.groupby(key, as_index=False, sort=False, dropna=False).agg(how),
+        rows=(ds, key, schema),
+    )
 
 
 def _head_k(t: pa.Table, key: list[str], order, k: int) -> pa.Table:

@@ -1304,14 +1304,11 @@ def lm_perplexity_filter(sf_dir: str, pct: int = 10):
 
     hist = (
         scored.map_batches(hist_partial, batch_format="pyarrow")
-        .groupby("v")
-        .sum("c")
-        .to_pandas()  # bounded: avg_mlp domain is [0, QBITS * 1000]
-        .sort_values("v")
+        .to_pandas()  # bounded: avg_mlp domain is [0, QBITS * 1000] per block
+        .groupby("v")["c"]
+        .sum()
     )
-    thr = quantile_threshold(
-        hist["v"].to_numpy(np.int64), hist["sum(c)"].to_numpy(np.int64), pct
-    )
+    thr = quantile_threshold(hist.index.to_numpy(np.int64), hist.to_numpy(np.int64), pct)
 
     def flag(batch: pa.Table) -> pa.Table:
         avg = np.asarray(batch["avg_mlp"].to_pylist(), dtype=np.int64)

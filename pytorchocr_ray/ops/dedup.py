@@ -1,11 +1,11 @@
 """Deduplication operators (exact, MinHash+LSH, SimHash, embedding cosine).
 
 Scale shapes (ray_guide patterns, re-derived for this engine):
-  * exact: vectorized content-hash per batch -> groupby(hash) -> keep the
-    min-doc_id row per group (one shuffle over (hash, doc_id) pairs only).
+  * exact: vectorized content-hash per batch -> one exchange on the hash
+    keeps the min-doc_id row (it carries (hash, doc_id) pairs only).
   * MinHash+LSH: shingle->minhash signature per batch (vectorized, one
     matmul-free universal-hash pass) -> explode to (band, band_hash) rows ->
-    groupby band bucket -> candidate pairs -> exact-Jaccard verify ->
+    co-partition on the band bucket -> candidate pairs -> exact-Jaccard verify ->
     connected components -> representative per cluster.
   * SimHash: 31-bit signature per doc; near-dup candidates via 4x8-bit
     band blocking, verified by XOR-popcount Hamming distance.
@@ -25,7 +25,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from . import co_partition, read
+from ..stages.warm import map_cached
+from . import co_partition, read, reduce_by
 
 _MERSENNE = np.uint64((1 << 61) - 1)
 
@@ -37,11 +38,10 @@ def _stable_hash(strings: pd.Series) -> np.ndarray:
 def dedup_exact(sf_dir: str):
     """Keep the smallest doc_id per identical ``text`` -> (doc_id, n_chars).
 
-    Shuffle carries only (hash, doc_id, n_chars); the text itself never
-    moves. 64-bit collisions are accepted (documented; ~1e-13 at 1e6 docs).
+    The exchange carries only (hash, doc_id, n_chars); the text itself
+    never moves. 64-bit collisions are accepted (documented; ~1e-13 at 1e6
+    docs).
     """
-    from ray.data.aggregate import Min
-
     ds = read(sf_dir, "documents", columns=["doc_id", "text"])
 
     def hash_stage(batch: pa.Table) -> pa.Table:
@@ -54,14 +54,14 @@ def dedup_exact(sf_dir: str):
             }
         )
 
-    # pure Min aggregate (no per-group Python call): rows sharing a hash
-    # share the text, hence n_chars — Min picks the kept row's value
-    out = (
-        ds.map_batches(hash_stage, batch_format="pyarrow")
-        .groupby("h")
-        .aggregate(Min("doc_id", alias_name="doc_id"), Min("n_chars", alias_name="n_chars"))
-    )
-    return out.select_columns(["doc_id", "n_chars"])
+    # rows sharing a hash share the text, hence n_chars — the per-hash min
+    # picks the kept row's value
+    return reduce_by(
+        ds.map_batches(hash_stage, batch_format="pyarrow"),
+        "h",
+        {"h": pa.int64(), "doc_id": pa.int64(), "n_chars": pa.int64()},
+        "min",
+    ).select_columns(["doc_id", "n_chars"])
 
 
 DEDUP_EXACT_SQL = """
@@ -169,30 +169,9 @@ class MinHasher:
         )
 
 
-_HASHER_CACHE: dict = {}
-
-
-def _cached(cls, **kw):
-    """Per-worker-process singleton for trivially-cheap hasher state.
-
-    These stages' setup (a seeded rng draw) costs microseconds, so a task
-    pool with a module-level cache beats an actor pool: worker processes
-    are reused across tasks and runs, while each actor pool pays a
-    multi-second spin-up per query execution (measured: ~3s of a 10s
-    minhash run)."""
-    key = (cls.__name__, tuple(sorted(kw.items())))
-    if key not in _HASHER_CACHE:
-        _HASHER_CACHE[key] = cls(**kw)
-    return _HASHER_CACHE[key]
-
-
 def minhash_signatures(sf_dir: str, num_perm: int = 64, ngram: int = 3):
     ds = read(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def fn(batch: pa.Table) -> pa.Table:
-        return _cached(MinHasher, num_perm=num_perm, ngram=ngram)(batch)
-
-    return ds.map_batches(fn, batch_format="pyarrow")
+    return map_cached(ds, MinHasher, {"num_perm": num_perm, "ngram": ngram})
 
 
 def minhash_pairs(
@@ -425,14 +404,9 @@ def ngram_jaccard_pairs(
     The shuffle carries (hash, doc_id) postings only.
     """
 
-    def shingle_fn(batch: pa.Table) -> pa.Table:
-        return _cached(ShingleSetStage, ngram=ngram)(batch)
-
-    shl_ds = (
-        read(sf_dir, "documents", columns=["doc_id", "text"])
-        .map_batches(shingle_fn, batch_format="pyarrow")
-        .materialize()  # consumed by postings AND the verify exchanges
-    )
+    shl_ds = map_cached(
+        read(sf_dir, "documents", columns=["doc_id", "text"]), ShingleSetStage, {"ngram": ngram}
+    ).materialize()  # consumed by postings AND the verify exchanges
 
     def explode_postings(batch: pa.Table) -> pa.Table:
         blobs = batch["shl"].to_pylist()
@@ -622,12 +596,7 @@ class SimHasher:
 
 
 def simhash_signatures(sf_dir: str):
-    ds = read(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def fn(batch: pa.Table) -> pa.Table:
-        return _cached(SimHasher)(batch)
-
-    return ds.map_batches(fn, batch_format="pyarrow")
+    return map_cached(read(sf_dir, "documents", columns=["doc_id", "text"]), SimHasher)
 
 
 def _band_specs() -> list[tuple[int, int, int, int]]:
@@ -664,34 +633,57 @@ SIMHASH_BUCKET_CAP = 4096
 SIMHASH_SUBKEY_BITS = 16
 
 
+def hot_buckets(ds, band_keys, cap: int) -> dict[int, np.ndarray]:
+    """{band: sorted int64 keys} of the (band, key) buckets holding more
+    than ``cap`` rows of ``ds``; ``band_keys(batch)`` gives each row's
+    (rows, bands) int64 key matrix.  Each block counts its own (band, key)
+    pairs, and one exchange sums the counts and keeps only the hot keys,
+    so the driver receives those alone."""
+    import logging
+
+    def counts(batch: pa.Table) -> pd.DataFrame:
+        keys = band_keys(batch)
+        bands = np.tile(np.arange(keys.shape[1], dtype=np.int64), len(keys))
+        return pd.DataFrame({"band": bands, "key": keys.reshape(-1)}).groupby(
+            ["band", "key"], as_index=False
+        ).size()
+
+    def hot(rows: pd.DataFrame) -> pd.DataFrame:
+        g = rows.groupby(["band", "key"], as_index=False, sort=False)["size"].sum()
+        return g[g["size"] > cap]
+
+    over = co_partition(
+        hot,
+        rows=(ds.map_batches(counts, batch_format="pyarrow"), ["band", "key"],
+              {"band": pa.int64(), "key": pa.int64(), "size": pa.int64()}),
+    ).to_pandas()
+    if not len(over):
+        return {}
+    logging.getLogger(__name__).info(
+        "splitting %d hot (band, key) buckets of more than %d rows", len(over), cap
+    )
+    return {int(b): np.sort(g["key"].to_numpy(np.int64)) for b, g in over.groupby("band")}
+
+
 def simhash_pairs(
     sf_dir: str, max_hamming: int = 3, bucket_cap: int = SIMHASH_BUCKET_CAP
 ):
     """Near-dup pairs by SimHash banding over the 124-bit signature,
     fully distributed: band-explode (8 bands, 15/16-bit keys) ->
-    groupby(band, key, key2) -> vectorized in-bucket pair enumeration
-    with XOR-popcount Hamming over the 4 words -> distinct via
-    aggregate.  Signatures within Hamming <= max_hamming (< 8) share at
+    co-partition on (band, key, key2) -> vectorized in-bucket pair
+    enumeration with XOR-popcount Hamming over the 4 words -> distinct
+    via a per-pair min.  Signatures within Hamming <= max_hamming (< 8) share at
     least one band exactly, so banding has full recall at the threshold;
     buckets over ``bucket_cap`` are sub-split on complementary-word bits
     (key2; see the module note above for the bounded recall caveat)."""
-    import logging
-
     import ray
-    from ray.data.aggregate import Min
+
+    from . import table_rows
 
     sig_ds = simhash_signatures(sf_dir)
     specs = _band_specs()
     sig_cols = [f"sig{w}" for w in range(SIMHASH_WORDS)]
     sub_mask = (1 << SIMHASH_SUBKEY_BITS) - 1
-
-    def _keys(ids, sigs):
-        n = len(ids)
-        nb = len(specs)
-        keys = np.empty((n, nb), dtype=np.int64)
-        for band, w, lo, mask in specs:
-            keys[:, band] = (sigs[:, w] >> lo) & mask
-        return keys
 
     def _sigs_of(batch: pa.Table) -> np.ndarray:
         if len(batch) == 0:
@@ -701,49 +693,20 @@ def simhash_pairs(
             axis=1,
         )
 
-    # hot-bucket pre-pass: per-block partial (band, key) counts -> one
-    # small groupby-sum.  The histogram is bounded by the KEY SPACE
-    # (8 bands x <= 2^16 keys = 512k rows max, independent of corpus
-    # size), so the driver materialize is justified; skipped entirely
-    # when the corpus can't exceed the cap.
-    from . import table_rows
+    def _keys(sigs: np.ndarray) -> np.ndarray:
+        keys = np.empty((len(sigs), len(specs)), dtype=np.int64)
+        for band, w, lo, mask in specs:
+            keys[:, band] = (sigs[:, w] >> lo) & mask
+        return keys
 
-    hot: set[tuple[int, int]] = set()
+    # hot-bucket pre-pass, skipped when the corpus can't exceed the cap.
+    # The pre-pass and the band explode both read the signatures, so pin
+    # them (40 bytes per document) and hash each document once.
+    hot_by_band: dict[int, np.ndarray] = {}
     n_docs = table_rows(sf_dir, "documents")
     if n_docs is None or n_docs > bucket_cap:
-        def key_counts(batch: pa.Table) -> pa.Table:
-            ids = np.asarray(batch["doc_id"].to_pylist(), dtype=np.int64)
-            keys = _keys(ids, _sigs_of(batch))
-            nb = len(specs)
-            bands = np.tile(np.arange(nb, dtype=np.int64), len(ids))
-            flat = keys.reshape(-1)
-            df = pd.DataFrame({"band": bands, "key": flat})
-            g = df.groupby(["band", "key"], as_index=False).size()
-            g = g.rename(columns={"size": "c"})
-            g["c"] = g["c"].astype(np.int64)
-            return pa.Table.from_pandas(g, preserve_index=False)
-
-        cnt = (
-            sig_ds.map_batches(key_counts, batch_format="pyarrow")
-            .groupby(["band", "key"])
-            .sum("c")
-            .to_pandas()
-        )
-        over = cnt[cnt["sum(c)"] > bucket_cap]
-        hot = set(zip(over["band"].astype(int), over["key"].astype(int)))
-        if hot:
-            logging.getLogger(__name__).info(
-                "simhash_pairs: splitting %d hot buckets (> %d docs)",
-                len(hot),
-                bucket_cap,
-            )
-    # per-band sorted hot-key arrays: the worker-side membership test is
-    # one vectorized np.isin per band, not a Python set probe per row
-    hot_by_band = {
-        b: np.asarray(sorted(k for bb, k in hot if bb == b), dtype=np.int64)
-        for b in range(len(specs))
-        if any(bb == b for bb, _ in hot)
-    }
+        sig_ds = sig_ds.materialize()
+        hot_by_band = hot_buckets(sig_ds, lambda b: _keys(_sigs_of(b)), bucket_cap)
     hot_ref = ray.put(hot_by_band)
 
     def explode(batch: pa.Table) -> pa.Table:
@@ -751,7 +714,7 @@ def simhash_pairs(
         sigs = _sigs_of(batch)
         n = len(ids)
         nb = len(specs)
-        keys = _keys(ids, sigs)
+        keys = _keys(sigs)
         # subkey per band: low bits of the complementary word, applied
         # only where (band, key) is hot
         hot_ = ray.get(hot_ref)
@@ -795,8 +758,11 @@ def simhash_pairs(
         ),
     )
     # distinct across bands (hamming is identical for a given pair)
-    return pairs.groupby(["doc_a", "doc_b"]).aggregate(
-        Min("hamming", alias_name="hamming")
+    return reduce_by(
+        pairs,
+        ["doc_a", "doc_b"],
+        {"doc_a": pa.int64(), "doc_b": pa.int64(), "hamming": pa.int64()},
+        "min",
     )
 
 
@@ -947,8 +913,6 @@ def embedding_neardup(
 
     ``planes=None`` (default) auto-scales the plane count to the corpus
     (see :func:`auto_planes`)."""
-    from ray.data.aggregate import Min
-
     if planes is None:
         planes = auto_planes(_embeddings_meta(sf_dir)[0])
     ds = read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
@@ -1011,8 +975,11 @@ def embedding_neardup(
         ),
     )
     # distinct across probe buckets (cos_pct identical for a given pair)
-    return pairs.groupby(["vec_a", "vec_b"]).aggregate(
-        Min("cos_pct", alias_name="cos_pct")
+    return reduce_by(
+        pairs,
+        ["vec_a", "vec_b"],
+        {"vec_a": pa.int64(), "vec_b": pa.int64(), "cos_pct": pa.int64()},
+        "min",
     )
 
 
@@ -1065,86 +1032,89 @@ WHERE list_dot_product(x.qd, y.qd) / (sqrt(x.nsq) * sqrt(y.nsq))
 
 # ------------------------------------------------------ near-dup clusters
 
+# kinds of _cc_min_labels' state rows
+_EDGE, _CAND, _OWN, _POINTER = np.int8(0), np.int8(1), np.int8(2), np.int8(3)
+
 
 def _cc_min_labels(edges, max_rounds: int = 50):
     """Connected components over a MATERIALIZED symmetrized edge Dataset
     (u, v int64) -> (labels Dataset (node, label=component min), rounds).
 
-    Min-label propagation WITH pointer jumping: every round each node
-    takes the min over (a) its neighbors' labels and (b) its label's
-    label (label compression).  (b) doubles the distance already covered,
-    so convergence is O(log diameter) rounds, not O(diameter) — a
-    1M-node chain needs ~20 rounds, not 1M.  Propagate and jump share
-    ONE co-partition per round (two separate shuffles doubled the
-    per-round fixed cost); per-node minima ride Ray's vectorized Min
-    aggregate.  Labels are materialized per round (bounded: one row per
-    dup-graph node) and the convergence probe is a scalar sum aggregate
-    (labels decrease monotonically)."""
-    node_label = {"node": pa.int64(), "label": pa.int64()}
+    Min-label propagation WITH pointer jumping, one single-sided
+    co-partition per round over a state table of (node, label, kind) rows:
+    the edges (node=u, label=v) ride along every round, and a node's label
+    is the min of its candidate rows (the first round's are its edges).
+    Each candidate row goes into the exchange twice, keyed by its node (to
+    be reduced) and keyed by its label (a pointer: the node asking its
+    label's label).  So the group owning a node takes its label and
+    answers, in one pass, the asks of the node's neighbours (propagation)
+    and of every candidate pointing at it (pointer jumping, which doubles
+    the distance covered, so convergence takes O(log diameter) rounds, not
+    O(diameter)).  The answers, one min per asking node per group, are the
+    next round's candidates, alongside each node's label (kind ``_OWN``).
 
-    def init_labels(batch: pa.Table) -> pa.Table:
-        u = batch["u"].to_numpy()
-        m = batch["min(v)"].to_numpy()
-        return pa.table(
-            {"node": pa.array(u), "label": pa.array(np.minimum(u, m))}
-        )
+    The ``_OWN`` rows of a round hold the labels the previous round
+    produced.  A node's label is among its next candidates, so labels only
+    decrease, and two rounds with the same int64 label sum have the same
+    labels: a fixpoint, where each label is constant across every edge and
+    so is its component's min.  The state is materialized per round
+    (bounded: the edges plus one row per node and answering group), and
+    one side keeps its block count fixed from round to round."""
+    if edges.count() == 0:
+        return edges.rename_columns({"u": "node", "v": "label"}), 0
 
-    labels = (
-        edges.groupby("u")
-        .min("v")
-        .map_batches(init_labels, batch_format="pyarrow")
-        .materialize()
-    )
-    if labels.count() == 0:
-        return labels, 0
+    def first(batch: pa.Table) -> pa.Table:
+        u, v = batch["u"].to_numpy(), batch["v"].to_numpy()
+        kind = np.repeat(np.array([_EDGE, _CAND], np.int8), len(u))
+        return pa.table({"node": np.concatenate([u, u]), "label": np.concatenate([v, np.minimum(u, v)]),
+                         "kind": kind})
 
-    def resolve(owners: pd.DataFrame, edges: pd.DataFrame, jumps=None) -> pd.DataFrame:
-        """Answer every ask with the asked node's label, plus the owners'
-        own keep-rows.  An edge (u, v) is v asking u (propagation); a
-        jump row is a node asking its label's owner (pointer jumping)."""
-        key, asker = [edges["u"].to_numpy()], [edges["v"].to_numpy()]
-        if jumps is not None:
-            key.append(jumps["label"].to_numpy())
-            asker.append(jumps["node"].to_numpy())
-        ask = pd.DataFrame({"node": np.concatenate(key), "asker": np.concatenate(asker)})
-        m = ask.merge(owners, on="node", how="inner")
-        return pd.DataFrame(
-            {
-                "node": np.concatenate([m["asker"].to_numpy(), owners["node"].to_numpy()]),
-                "label": np.concatenate([m["label"].to_numpy(), owners["label"].to_numpy()]),
-            }
-        )
+    def expand(batch: pa.Table) -> pa.Table:
+        """Every row keyed by its node, plus each candidate keyed by its label."""
+        cand = batch.filter(pc.not_equal(batch["kind"], _EDGE))
+        return pa.table({
+            "key": pa.concat_arrays([batch["node"].combine_chunks(), cand["label"].combine_chunks()]),
+            "node": pa.concat_arrays([batch["node"].combine_chunks(), cand["node"].combine_chunks()]),
+            "label": pa.concat_arrays([batch["label"].combine_chunks(), cand["label"].combine_chunks()]),
+            "kind": pa.array(np.concatenate([batch["kind"].to_numpy(), np.full(len(cand), _POINTER, np.int8)])),
+        })
 
-    def finish_min(batch: pa.Table) -> pa.Table:
-        return pa.table({"node": batch["node"], "label": batch["min(label)"]})
+    def resolve(rows: pd.DataFrame) -> pd.DataFrame:
+        """Each owned node's label, plus an answer to every ask: an edge
+        (u, v) is v asking u, a pointer (node, label) is node asking label."""
+        kind = rows["kind"].to_numpy()
+        edges = rows[kind == _EDGE]
+        pointers = rows[kind == _POINTER]
+        own = rows[(kind == _CAND) | (kind == _OWN)].groupby("node", as_index=False, sort=False)["label"].min()
+        ask = pd.DataFrame({
+            "node": np.concatenate([edges["node"].to_numpy(), pointers["label"].to_numpy()]),
+            "asker": np.concatenate([edges["label"].to_numpy(), pointers["node"].to_numpy()]),
+        }).merge(own, on="node")
+        answers = ask.groupby("asker", as_index=False, sort=False)["label"].min()
+        return pd.concat(
+            [answers.rename(columns={"asker": "node"}).assign(kind=_CAND),
+             own.assign(kind=_OWN), edges[["node", "label", "kind"]]],
+            ignore_index=True,
+        ).astype({"kind": np.int8})
 
-    # block-count discipline: every round's exchange unions several
-    # inputs, so the label table's block count would roughly DOUBLE per
-    # round and per-block fixed costs explode (measured: 0.3s -> 29s ->
-    # 150s rounds on a 32-node path).  Pin it to the edge table's count.
-    n_blocks = max(edges.num_blocks(), 1)
-    prev_sum = labels.sum("label")
+    def own_rows(batch: pa.Table) -> pa.Table:
+        return batch.filter(pc.equal(batch["kind"], _OWN)).select(["node", "label"])
+
+    def own_sum(batch: pa.Table) -> pa.Table:
+        return pa.table({"s": [pc.sum(own_rows(batch)["label"]).as_py() or 0]})
+
+    state = edges.map_batches(first, batch_format="pyarrow")
+    prev_sum = None
     for rounds in range(1, max_rounds + 1):
-        sides = {
-            "owners": (labels, "node", node_label),
-            "edges": (edges, "u", {"u": pa.int64(), "v": pa.int64()}),
-        }
-        # jump skipped in the first iteration: init labels are 1-hop
-        # minima, so the first jump adds nothing for the common shallow
-        # dup graph
-        if rounds > 1:
-            sides["jumps"] = (labels, "label", node_label)
-        labels = (
-            co_partition(resolve, **sides)
-            .groupby("node")
-            .min("label")
-            .map_batches(finish_min, batch_format="pyarrow")
-            .repartition(n_blocks)
-            .materialize()
-        )
-        cur_sum = labels.sum("label")
-        if cur_sum == prev_sum:  # per-node labels only decrease
-            return labels, rounds
+        state = co_partition(
+            resolve,
+            rows=(state.map_batches(expand, batch_format="pyarrow"), "key",
+                  {"key": pa.int64(), "node": pa.int64(), "label": pa.int64(), "kind": pa.int8()}),
+        ).materialize()
+        # summed on the driver: one int per block
+        cur_sum = int(state.map_batches(own_sum, batch_format="pyarrow").to_pandas()["s"].sum())
+        if cur_sum == prev_sum:
+            return state.map_batches(own_rows, batch_format="pyarrow"), rounds
         prev_sum = cur_sum
     raise RuntimeError(f"_cc_min_labels did not converge in {max_rounds} rounds")
 
@@ -1271,15 +1241,12 @@ def bloom_incremental_dedup(sf_dir: str, m: int = BLOOM_M):
 
     # the fp table feeds BOTH the bitset build and the flag pass (diamond
     # DAG): materialize once (16 B/doc — ~1% of text bytes, spills fine)
-    # instead of re-fingerprinting the corpus per consumer; the bits
-    # table below is bounded at <= m distinct ints regardless of corpus
-    # size, so pulling it to the driver is justified
+    # instead of re-fingerprinting the corpus per consumer; each block's
+    # distinct bits are bounded at <= m ints regardless of corpus size, so
+    # the driver sets them with no exchange
     fps = fps.materialize()
-    bit_rows = (
-        fps.map_batches(ref_bits, batch_format="pyarrow").groupby("bit").count()
-    )
     bitset = np.zeros(m, dtype=bool)
-    bdf = bit_rows.to_pandas()
+    bdf = fps.map_batches(ref_bits, batch_format="pyarrow").to_pandas()
     if len(bdf):
         bitset[bdf["bit"].to_numpy(np.int64)] = True
     bits_ref = ray.put(bitset)

@@ -89,7 +89,8 @@ def combine_counter_sums(sums: dict[str, int]) -> dict[str, float]:
 
 
 class _EvalStage:
-    """media rows + GT lookup -> per-image metric counters.
+    """media rows + GT lookup -> one row of the batch's metric counter
+    sums.
 
     ``gt_ref`` is either a (broadcast) dict / ObjectRef of one — the
     small-sidecar path — or a ``{"dir", "shard_size"}`` descriptor, in
@@ -115,7 +116,7 @@ class _EvalStage:
     def __call__(self, batch: pa.Table) -> pa.Table:
         refs = batch["media_ref"].to_pylist()
         datas = batch["data"].to_pylist()
-        rows: dict[str, list[int]] = {c: [] for c in COUNTER_COLS}
+        sums = dict.fromkeys(COUNTER_COLS, 0)
         for ref, data in zip(refs, datas):
             gt_regions = self.gt.get(ref)
             gray = decode_gray(data) if data is not None else None
@@ -124,8 +125,8 @@ class _EvalStage:
             for col, v in zip(
                 COUNTER_COLS, media_eval_counters(self.engine, gray, gt_regions)
             ):
-                rows[col].append(v)
-        return pa.table({k: pa.array(v, pa.int64()) for k, v in rows.items()})
+                sums[col] += v
+        return pa.table({k: pa.array([v], pa.int64()) for k, v in sums.items()})
 
 
 def evaluate_corpus(
@@ -159,11 +160,8 @@ def evaluate_corpus(
     ds = rd.read_parquet(media_path, columns=["media_ref", "data"])
     counters = map_stage(ds, _EvalStage, {"gt_ref": gt_ref}, batch_size=16,
                          concurrency=concurrency)
-    from ray.data.aggregate import Sum
-
-    # ONE global aggregate pass for all six counters (per-column .sum()
-    # would re-execute the whole pipeline per counter); integer sums are
-    # exact, so the result is bit-identical to the serial oracle
-    agg = counters.aggregate(*[Sum(c, alias_name=c) for c in COUNTER_COLS])
-    sums = {c: int(agg[c] or 0) for c in COUNTER_COLS}
-    return combine_counter_sums(sums)
+    # ONE pass for all six counters, one row per batch summed on the driver
+    # with no exchange; integer sums are exact, so the result is
+    # bit-identical to the serial oracle
+    sums = counters.to_pandas().reindex(columns=COUNTER_COLS).sum()
+    return combine_counter_sums({c: int(sums[c]) for c in COUNTER_COLS})

@@ -297,6 +297,8 @@ def image_dhash_near(
     import pandas as pd
     import ray
 
+    from .dedup import hot_buckets
+
     # materialize the (media_ref, dhash) table ONCE: it is consumed twice
     # (hot-bucket pre-pass + band explode) and re-deriving it would decode
     # every payload a second time — the decode dominates the op.  The
@@ -316,42 +318,11 @@ def image_dhash_near(
 
     # hot-bucket pre-pass: (band, key) histogram, bounded by the key
     # space (4 x 2^16 rows max) regardless of corpus size
-    def key_counts(batch: pa.Table) -> pa.Table:
+    def band_keys(batch: pa.Table) -> np.ndarray:
         h = batch["dhash"].to_numpy()
-        h = h[h != DHASH_EMPTY]
-        keys = _keys(h)
-        return pa.Table.from_pandas(
-            pd.DataFrame(
-                {
-                    "band": np.tile(
-                        np.arange(NEAR_BANDS, dtype=np.int64), len(h)
-                    ),
-                    "key": keys.reshape(-1),
-                }
-            )
-            .groupby(["band", "key"], as_index=False)
-            .size()
-            .rename(columns={"size": "c"}),
-            preserve_index=False,
-        )
+        return _keys(h[h != DHASH_EMPTY])
 
-    cnt = (
-        hashes.map_batches(key_counts, batch_format="pyarrow")
-        .groupby(["band", "key"])
-        .sum("c")
-        .to_pandas()
-    )
-    over = cnt[cnt["sum(c)"] > bucket_cap]
-    hot_by_band = {
-        int(b): np.asarray(sorted(g["key"].astype(int)), dtype=np.int64)
-        for b, g in over.groupby("band")
-    }
-    if hot_by_band:
-        logging.getLogger(__name__).info(
-            "image_dhash_near: splitting %d hot (band, key) buckets",
-            sum(len(v) for v in hot_by_band.values()),
-        )
-    hot_ref = ray.put(hot_by_band)
+    hot_ref = ray.put(hot_buckets(hashes, band_keys, bucket_cap))
 
     def explode(batch: pa.Table) -> pa.Table:
         h = batch["dhash"].to_numpy()

@@ -122,19 +122,16 @@ def bm25_search(sf_dir: str, terms: tuple[str, ...] = BM25_QUERY, k: int = 10):
             }
         )
 
+    # summed on the driver: |query terms| + 1 rows per block, not vocabulary
     stats = (
         ds.map_batches(stats_partial, batch_format="pyarrow")
-        .groupby("term")
-        .sum(["df", "dl", "nd"])
-        .to_pandas()  # <= |query terms| + 1 rows — O(1), not vocabulary
+        .to_pandas()
+        .groupby("term")[["df", "dl", "nd"]]
+        .sum()
     )
-    totals = stats[stats["term"] == ""].iloc[0]
-    n_docs = int(totals["sum(nd)"])
-    total_dl = int(totals["sum(dl)"])
-    avgdl = max(1, total_dl // max(1, n_docs))
-    df_map = dict(
-        zip(stats["term"].tolist(), stats["sum(df)"].astype(int).tolist())
-    )
+    n_docs = int(stats.at["", "nd"])
+    avgdl = max(1, int(stats.at["", "dl"]) // max(1, n_docs))
+    df_map = stats["df"].astype(int).to_dict()
     live = [t for t in terms if df_map.get(t, 0) > 0]
     idf = {
         t: int(

@@ -1,8 +1,10 @@
 """Relational operator coverage over the TPC-H-ish tables.
 
 Demonstrates the engine's generic query shapes with exact DuckDB oracles:
-pre-aggregated groupby (q1), broadcast hash join (revenue by segment),
-sort+limit top-k, distinct counting, and event-time windowed aggregation.
+keyed aggregates over per-block partials (q1), broadcast hash join
+(revenue by segment), global and per-group top-k, distinct counting, and
+event-time windowed aggregation.  Every keyed aggregate is one
+:func:`ops.reduce_by` or :func:`ops.co_partition` exchange.
 Float aggregates are rounded to 2 decimals on BOTH sides (sum order differs
 between engines; doubles carry ~15 digits so cents-rounding is stable).
 """
@@ -14,7 +16,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from . import co_partition, read, top_k
+from . import co_partition, read, reduce_by, top_k
 
 
 def _cents(col) -> np.ndarray:
@@ -23,58 +25,41 @@ def _cents(col) -> np.ndarray:
     return np.floor(col.to_numpy() * 100.0 + 0.5).astype(np.int64)
 
 
-def _round2(col):
-    return pc.round(col, ndigits=2)
+def _round2(df: pd.DataFrame) -> pd.DataFrame:
+    """Every float column rounded to cents, as the SQL twins' round(x, 2)."""
+    return df.round(2)
+
+
+def _hour(ts: pd.Series) -> pd.Series:
+    """1h window key as int64 epoch seconds: engine-neutral, so Arrow and
+    DuckDB outputs cannot disagree on a timestamp unit."""
+    return ts.dt.floor("h").astype("datetime64[s]").astype("int64").astype(np.int64)
 
 
 def q1_pricing(sf_dir: str):
-    """Pricing summary: per-batch partial aggregation -> tiny groupby."""
-    from ray.data.aggregate import Sum
-
+    """Pricing summary: per-block partial aggregates, one keyed exchange."""
     ds = read(
         sf_dir,
         "lineitem",
         columns=["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount"],
     )
 
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
+    def partial(df: pd.DataFrame) -> pd.DataFrame:
         df["disc_price"] = df["l_extendedprice"] * (1 - df["l_discount"])
-        g = (
-            df.groupby(["l_returnflag", "l_linestatus"], as_index=False)
-            .agg(
-                sum_qty=("l_quantity", "sum"),
-                sum_base_price=("l_extendedprice", "sum"),
-                sum_disc_price=("disc_price", "sum"),
-                count_order=("l_quantity", "size"),
-            )
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    out = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(
-            Sum("sum_qty", alias_name="sum_qty"),
-            Sum("sum_base_price", alias_name="sum_base_price"),
-            Sum("sum_disc_price", alias_name="sum_disc_price"),
-            Sum("count_order", alias_name="count_order"),
-        )
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "l_returnflag": batch["l_returnflag"],
-                "l_linestatus": batch["l_linestatus"],
-                "sum_qty": _round2(batch["sum_qty"]),
-                "sum_base_price": _round2(batch["sum_base_price"]),
-                "sum_disc_price": _round2(batch["sum_disc_price"]),
-                "count_order": pc.cast(batch["count_order"], pa.int64()),
-            }
+        return df.groupby(["l_returnflag", "l_linestatus"], as_index=False).agg(
+            sum_qty=("l_quantity", "sum"),
+            sum_base_price=("l_extendedprice", "sum"),
+            sum_disc_price=("disc_price", "sum"),
+            count_order=("l_quantity", "size"),
         )
 
-    return out.map_batches(finish, batch_format="pyarrow")
+    return reduce_by(
+        ds.map_batches(partial, batch_format="pandas"),
+        ["l_returnflag", "l_linestatus"],
+        {"l_returnflag": pa.string(), "l_linestatus": pa.string(), "sum_qty": pa.float64(),
+         "sum_base_price": pa.float64(), "sum_disc_price": pa.float64(),
+         "count_order": pa.int64()},
+    ).map_batches(_round2, batch_format="pandas")
 
 
 Q1_SQL = """
@@ -87,13 +72,26 @@ FROM lineitem GROUP BY l_returnflag, l_linestatus
 """
 
 
+def _segment_revenue(df: pd.DataFrame) -> pd.DataFrame:
+    return df.groupby("c_mktsegment", as_index=False).agg(
+        revenue=("o_totalprice", "sum"), n_orders=("o_totalprice", "size")
+    )
+
+
+def _sum_segments(partials):
+    return reduce_by(
+        partials,
+        "c_mktsegment",
+        {"c_mktsegment": pa.string(), "revenue": pa.float64(), "n_orders": pa.int64()},
+    ).map_batches(_round2, batch_format="pandas")
+
+
 def revenue_by_segment(sf_dir: str):
     """orders x customer broadcast hash join -> revenue per market segment.
     The customer side is ray.put once; each batch does a vectorized pandas
     merge against it — no shuffle join for a dimension table."""
     import ray
     import pyarrow.parquet as pq
-    from ray.data.aggregate import Sum
 
     cust = pq.read_table(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"]
@@ -102,35 +100,11 @@ def revenue_by_segment(sf_dir: str):
 
     ds = read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
 
-    def join_partial(batch: pa.Table) -> pa.Table:
-        c = ray.get(cust_ref)
-        df = batch.to_pandas().merge(
-            c, left_on="o_custkey", right_on="c_custkey", how="inner"
-        )
-        g = df.groupby("c_mktsegment", as_index=False).agg(
-            revenue=("o_totalprice", "sum"), n_orders=("o_totalprice", "size")
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
+    def join_partial(df: pd.DataFrame) -> pd.DataFrame:
+        df = df.merge(ray.get(cust_ref), left_on="o_custkey", right_on="c_custkey", how="inner")
+        return _segment_revenue(df)
 
-    out = (
-        ds.map_batches(join_partial, batch_format="pyarrow")
-        .groupby("c_mktsegment")
-        .aggregate(
-            Sum("revenue", alias_name="revenue"),
-            Sum("n_orders", alias_name="n_orders"),
-        )
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "c_mktsegment": batch["c_mktsegment"],
-                "revenue": _round2(batch["revenue"]),
-                "n_orders": pc.cast(batch["n_orders"], pa.int64()),
-            }
-        )
-
-    return out.map_batches(finish, batch_format="pyarrow")
+    return _sum_segments(ds.map_batches(join_partial, batch_format="pandas"))
 
 
 REVENUE_BY_SEGMENT_SQL = """
@@ -146,8 +120,6 @@ def revenue_by_segment_join(sf_dir: str, num_partitions: int = 8):
     """Same query via the native hash-partitioned ``Dataset.join`` — the
     both-sides-large plan (broadcast twin above shows the small-side plan).
     """
-    from ray.data.aggregate import Sum
-
     orders = read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
     cust = read(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
     joined = orders.join(
@@ -157,51 +129,20 @@ def revenue_by_segment_join(sf_dir: str, num_partitions: int = 8):
         on=("o_custkey",),
         right_on=("c_custkey",),
     )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        g = df.groupby("c_mktsegment", as_index=False).agg(
-            revenue=("o_totalprice", "sum"), n_orders=("o_totalprice", "size")
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    out = (
-        joined.map_batches(partial, batch_format="pyarrow")
-        .groupby("c_mktsegment")
-        .aggregate(
-            Sum("revenue", alias_name="revenue"),
-            Sum("n_orders", alias_name="n_orders"),
-        )
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "c_mktsegment": batch["c_mktsegment"],
-                "revenue": _round2(batch["revenue"]),
-                "n_orders": pc.cast(batch["n_orders"], pa.int64()),
-            }
-        )
-
-    return out.map_batches(finish, batch_format="pyarrow")
+    return _sum_segments(joined.map_batches(_segment_revenue, batch_format="pandas"))
 
 
 def top_customers(sf_dir: str, k: int = 10):
-    """sort + limit: top-k customers by account balance."""
+    """Global top-k customers by account balance through :func:`ops.top_k`:
+    each block keeps its own k, so the input is never sorted whole."""
     ds = read(sf_dir, "customer", columns=["c_custkey", "c_name", "c_acctbal"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        return batch.set_column(
-            batch.schema.get_field_index("c_acctbal"),
-            "c_acctbal",
-            _round2(batch["c_acctbal"]),
-        )
-
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .sort(["c_acctbal", "c_custkey"], descending=[True, False])
-        .limit(k)
-    )
+    return top_k(
+        ds.map_batches(_round2, batch_format="pandas"),
+        None,
+        [("c_acctbal", False), ("c_custkey", True)],
+        k,
+        {"c_custkey": pa.int64(), "c_name": pa.string(), "c_acctbal": pa.float64()},
+    ).drop_columns(["rank"])
 
 
 def top_customers_sql(k: int = 10) -> str:
@@ -245,40 +186,20 @@ FROM orders QUALIFY rank <= {k}
 def events_hourly(sf_dir: str):
     """Event-time tumbling window (1h) aggregate — Ray Data has no native
     windows, so the window key is computed vectorized per batch and the
-    aggregation is a plain groupby (ray_guide streaming-shaped pattern)."""
-    from ray.data.aggregate import Sum
-
+    aggregation is one keyed exchange (ray_guide streaming-shaped pattern)."""
     ds = read(sf_dir, "events", columns=["ts", "event_type", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        # window key as epoch seconds (int64) — engine-neutral, avoids
-        # timestamp-unit mismatches between Arrow and DuckDB outputs
-        df["hour"] = (
-            df["ts"].dt.floor("h").astype("datetime64[s]").astype("int64")
-        ).astype(np.int64)
-        g = df.groupby(["event_type", "hour"], as_index=False).agg(
+    def partial(df: pd.DataFrame) -> pd.DataFrame:
+        df["hour"] = _hour(df["ts"])
+        return df.groupby(["event_type", "hour"], as_index=False).agg(
             n=("value", "size"), sum_value=("value", "sum")
         )
-        return pa.Table.from_pandas(g, preserve_index=False)
 
-    out = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["event_type", "hour"])
-        .aggregate(Sum("n", alias_name="n"), Sum("sum_value", alias_name="sum_value"))
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "event_type": batch["event_type"],
-                "hour": batch["hour"],
-                "n": pc.cast(batch["n"], pa.int64()),
-                "sum_value": _round2(batch["sum_value"]),
-            }
-        )
-
-    return out.map_batches(finish, batch_format="pyarrow")
+    return reduce_by(
+        ds.map_batches(partial, batch_format="pandas"),
+        ["event_type", "hour"],
+        {"event_type": pa.string(), "hour": pa.int64(), "n": pa.int64(), "sum_value": pa.float64()},
+    ).map_batches(_round2, batch_format="pandas")
 
 
 EVENTS_HOURLY_SQL = """
@@ -291,44 +212,33 @@ FROM events GROUP BY 1, 2
 def user_activity(sf_dir: str):
     """Per-user activity profile incl. an exact distinct count.
 
-    Pure aggregate shape — per-batch partial aggregation of
-    (user_id, event_type) pairs, a small groupby-sum on that composite
-    key, then a per-user roll-up where the distinct count is a plain row
-    count; no Python call per user on this high-cardinality key."""
-    from ray.data.aggregate import Count, Sum
-
+    Per-batch partial aggregation of (user_id, event_type) pairs, then one
+    exchange on user_id whose close-out sums each pair and rolls the pairs
+    up per user, where the distinct count is a plain row count: every user
+    of the group at once, no Python call per user on this
+    high-cardinality key."""
     ds = read(sf_dir, "events", columns=["user_id", "event_type", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        g = (
-            batch.to_pandas()
-            .groupby(["user_id", "event_type"], as_index=False)
-            .agg(n=("value", "size"), sum_value=("value", "sum"))
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    per_type = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["user_id", "event_type"])
-        .aggregate(Sum("n", alias_name="n"), Sum("sum_value", alias_name="sum_value"))
-    )
-    per_user = per_type.groupby("user_id").aggregate(
-        Sum("n", alias_name="n_events"),
-        Count(alias_name="n_types"),
-        Sum("sum_value", alias_name="sum_value"),
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "user_id": batch["user_id"],
-                "n_events": pc.cast(batch["n_events"], pa.int64()),
-                "n_types": pc.cast(batch["n_types"], pa.int64()),
-                "sum_value": _round2(batch["sum_value"]),
-            }
+    def partial(df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby(["user_id", "event_type"], as_index=False).agg(
+            n=("value", "size"), sum_value=("value", "sum")
         )
 
-    return per_user.map_batches(finish, batch_format="pyarrow")
+    def per_user(pairs: pd.DataFrame) -> pd.DataFrame:
+        g = pairs.groupby(["user_id", "event_type"], as_index=False, sort=False).sum()
+        return _round2(g.groupby("user_id", as_index=False, sort=False).agg(
+            n_events=("n", "sum"), n_types=("n", "size"), sum_value=("sum_value", "sum")
+        ))
+
+    return co_partition(
+        per_user,
+        pairs=(
+            ds.map_batches(partial, batch_format="pandas"),
+            "user_id",
+            {"user_id": pa.int64(), "event_type": pa.string(), "n": pa.int64(),
+             "sum_value": pa.float64()},
+        ),
+    )
 
 
 USER_ACTIVITY_SQL = """
@@ -351,37 +261,17 @@ def supplier_nation(sf_dir: str):
 
     ds = read(sf_dir, "supplier", columns=["s_suppkey", "s_nationkey", "s_acctbal"])
 
-    def join_stage(batch: pa.Table) -> pa.Table:
-        n = ray.get(nation_ref)
-        df = batch.to_pandas().merge(
-            n, left_on="s_nationkey", right_on="n_nationkey", how="inner"
-        )
-        g = df.groupby("n_name", as_index=False).agg(
+    def join_partial(df: pd.DataFrame) -> pd.DataFrame:
+        df = df.merge(ray.get(nation_ref), left_on="s_nationkey", right_on="n_nationkey", how="inner")
+        return df.groupby("n_name", as_index=False).agg(
             n_suppliers=("s_suppkey", "size"), sum_acctbal=("s_acctbal", "sum")
         )
-        return pa.Table.from_pandas(g, preserve_index=False)
 
-    from ray.data.aggregate import Sum
-
-    out = (
-        ds.map_batches(join_stage, batch_format="pyarrow")
-        .groupby("n_name")
-        .aggregate(
-            Sum("n_suppliers", alias_name="n_suppliers"),
-            Sum("sum_acctbal", alias_name="sum_acctbal"),
-        )
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "n_name": batch["n_name"],
-                "n_suppliers": pc.cast(batch["n_suppliers"], pa.int64()),
-                "sum_acctbal": _round2(batch["sum_acctbal"]),
-            }
-        )
-
-    return out.map_batches(finish, batch_format="pyarrow")
+    return reduce_by(
+        ds.map_batches(join_partial, batch_format="pandas"),
+        "n_name",
+        {"n_name": pa.string(), "n_suppliers": pa.int64(), "sum_acctbal": pa.float64()},
+    ).map_batches(_round2, batch_format="pandas")
 
 
 SUPPLIER_NATION_SQL = """
@@ -399,11 +289,9 @@ def events_sliding(sf_dir: str, window_s: int = 3600, hop_s: int = 900):
     enumerated vectorized per batch (np.repeat over the fixed window
     count; with hop | window every event belongs to exactly window/hop
     windows, the general-membership proof mirrors the audio framing), then
-    partial counts ride one groupby Sum.  Window keys are epoch-second
+    partial counts ride one keyed exchange.  Window keys are epoch-second
     ints derived from exact microsecond arithmetic, matching DuckDB's
     ``epoch_us`` bigint on the oracle side."""
-    from ray.data.aggregate import Sum
-
     if window_s % hop_s:
         raise ValueError("hop must divide window for exact membership")
     nwin = window_s // hop_s
@@ -411,8 +299,7 @@ def events_sliding(sf_dir: str, window_s: int = 3600, hop_s: int = 900):
 
     ds = read(sf_dir, "events", columns=["ts", "event_type", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
+    def partial(df: pd.DataFrame) -> pd.DataFrame:
         t_us = df["ts"].astype("datetime64[us]").astype("int64").to_numpy()
         base = t_us // hop_us
         k = np.tile(np.arange(nwin, dtype=np.int64), len(df))
@@ -422,7 +309,7 @@ def events_sliding(sf_dir: str, window_s: int = 3600, hop_s: int = 900):
         # partial differently from the SQL engine — integer sums are exact
         # on both sides (floor(x*100+0.5), the repo-wide quantize idiom)
         cents = np.floor(df["value"].to_numpy() * 100.0 + 0.5).astype(np.int64)
-        g = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "event_type": np.repeat(df["event_type"].to_numpy(), nwin),
                 "win_start": win,
@@ -431,25 +318,13 @@ def events_sliding(sf_dir: str, window_s: int = 3600, hop_s: int = 900):
         ).groupby(["event_type", "win_start"], as_index=False).agg(
             n=("cents", "size"), sum_cents=("cents", "sum")
         )
-        return pa.Table.from_pandas(g, preserve_index=False)
 
-    out = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["event_type", "win_start"])
-        .aggregate(Sum("n", alias_name="n"), Sum("sum_cents", alias_name="sum_cents"))
+    return reduce_by(
+        ds.map_batches(partial, batch_format="pandas"),
+        ["event_type", "win_start"],
+        {"event_type": pa.string(), "win_start": pa.int64(), "n": pa.int64(),
+         "sum_cents": pa.int64()},
     )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "event_type": batch["event_type"],
-                "win_start": batch["win_start"],
-                "n": pc.cast(batch["n"], pa.int64()),
-                "sum_cents": pc.cast(batch["sum_cents"], pa.int64()),
-            }
-        )
-
-    return out.map_batches(finish, batch_format="pyarrow")
 
 
 def events_sliding_sql(window_s: int = 3600, hop_s: int = 900) -> str:
@@ -693,22 +568,11 @@ def range_join_tiers(sf_dir: str):
             }
         )
 
-    def close(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "tier": batch["tier"],
-                "lo_cents": batch["lo_cents"],
-                "hi_cents": batch["hi_cents"],
-                "n_events": batch["sum(n_events)"],
-                "sum_cents": batch["sum(sum_cents)"],
-            }
-        )
-
-    return (
-        ds.map_batches(bin_partial, batch_format="pyarrow")
-        .groupby(["tier", "lo_cents", "hi_cents"])
-        .sum(["n_events", "sum_cents"])
-        .map_batches(close, batch_format="pyarrow")
+    return reduce_by(
+        ds.map_batches(bin_partial, batch_format="pyarrow"),
+        ["tier", "lo_cents", "hi_cents"],
+        {"tier": pa.string(), "lo_cents": pa.int64(), "hi_cents": pa.int64(),
+         "n_events": pa.int64(), "sum_cents": pa.int64()},
     )
 
 
@@ -741,8 +605,8 @@ GROUP BY 1, 2, 3
 # orders side sheds everything but a DISTINCT custkey per batch before
 # the exchange (per-batch dedup partial), so the shuffled volume is
 # bounded by distinct customers, not order count.  Each group then
-# anti-sets locally (np.isin) and emits per-segment partials; the
-# close-out groupby is segment-bounded (5 rows).
+# anti-sets locally (np.isin) and emits per-segment partials; a second,
+# segment-bounded (5 rows) exchange sums them.
 
 ANTI_STATUS = "P"
 
@@ -766,41 +630,29 @@ def customers_without_orders(sf_dir: str, status: str = ANTI_STATUS):
 
     def anti_partial(cust: pd.DataFrame, orders: pd.DataFrame) -> pd.DataFrame:
         lone = cust[~np.isin(cust["custkey"].to_numpy(), orders["custkey"].to_numpy())]
-        g = lone.groupby("segment", as_index=False).agg(
+        return lone.groupby("segment", as_index=False).agg(
             n_customers=("custkey", "size"), sum_acctbal_cents=("cents", "sum")
-        )
-        g["n_customers"] = g["n_customers"].astype(np.int64)
-        g["sum_acctbal_cents"] = g["sum_acctbal_cents"].astype(np.int64)
-        return g
-
-    def close(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "c_mktsegment": batch["segment"],
-                "n_customers": batch["sum(n_customers)"],
-                "sum_acctbal_cents": batch["sum(sum_acctbal_cents)"],
-            }
-        )
+        ).rename(columns={"segment": "c_mktsegment"})
 
     cust = read(sf_dir, "customer", columns=["c_custkey", "c_mktsegment", "c_acctbal"])
     orders = read(sf_dir, "orders", columns=["o_custkey", "o_orderstatus"])
-    return (
-        co_partition(
-            anti_partial,
-            cust=(
-                cust.map_batches(cust_rows, batch_format="pyarrow"),
-                "custkey",
-                {"custkey": pa.int64(), "segment": pa.string(), "cents": pa.int64()},
-            ),
-            orders=(
-                orders.map_batches(order_keys, batch_format="pyarrow"),
-                "custkey",
-                {"custkey": pa.int64()},
-            ),
-        )
-        .groupby("segment")
-        .sum(["n_customers", "sum_acctbal_cents"])
-        .map_batches(close, batch_format="pyarrow")
+    partials = co_partition(
+        anti_partial,
+        cust=(
+            cust.map_batches(cust_rows, batch_format="pyarrow"),
+            "custkey",
+            {"custkey": pa.int64(), "segment": pa.string(), "cents": pa.int64()},
+        ),
+        orders=(
+            orders.map_batches(order_keys, batch_format="pyarrow"),
+            "custkey",
+            {"custkey": pa.int64()},
+        ),
+    )
+    return reduce_by(
+        partials,
+        "c_mktsegment",
+        {"c_mktsegment": pa.string(), "n_customers": pa.int64(), "sum_acctbal_cents": pa.int64()},
     )
 
 
@@ -892,7 +744,7 @@ FROM events
 # Long-to-wide reshaping: one row per hour with a COLUMN per event type
 # (the classic reporting pivot; events_hourly above is the long form).
 # The type set is a static enum, so the pivot is a per-batch crosstab
-# partial followed by an hour-bounded groupby sum — no second pass and
+# partial followed by one hour-keyed exchange — no second pass and
 # no dynamic schema discovery (at 100 TB a dynamic pivot would need a
 # distinct-key pre-pass; a fixed enum is the honest contract here, and
 # unknown types are counted into ``n_other`` rather than dropped so
@@ -908,33 +760,21 @@ def events_pivot(sf_dir: str):
     ds = read(sf_dir, "events", columns=["ts", "event_type", "value"])
     cols = [f"n_{t}" for t in EVENT_TYPES] + ["n_other"]
 
-    def crosstab(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df["hour"] = (
-            df["ts"].dt.floor("h").astype("datetime64[s]").astype("int64")
-        ).astype(np.int64)
-        df["cents"] = np.floor(
+    def crosstab(df: pd.DataFrame) -> pd.DataFrame:
+        df["hour"] = _hour(df["ts"])
+        df["sum_cents"] = np.floor(
             df["value"].to_numpy(np.float64) * 100.0 + 0.5
         ).astype(np.int64)
         tcol = df["event_type"].to_numpy(object)
         for t in EVENT_TYPES:
             df[f"n_{t}"] = (tcol == t).astype(np.int64)
         df["n_other"] = (~np.isin(tcol, EVENT_TYPES)).astype(np.int64)
-        g = df.groupby("hour", as_index=False)[cols + ["cents"]].sum()
-        g = g.rename(columns={"cents": "sum_cents"})
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return df.groupby("hour", as_index=False)[cols + ["sum_cents"]].sum()
 
-    def close(batch: pa.Table) -> pa.Table:
-        out = {"hour": batch["hour"]}
-        for c in cols + ["sum_cents"]:
-            out[c] = pc.cast(batch[f"sum({c})"], pa.int64())
-        return pa.table(out)
-
-    return (
-        ds.map_batches(crosstab, batch_format="pyarrow")
-        .groupby("hour")
-        .sum(cols + ["sum_cents"])
-        .map_batches(close, batch_format="pyarrow")
+    return reduce_by(
+        ds.map_batches(crosstab, batch_format="pandas"),
+        "hour",
+        {"hour": pa.int64(), **{c: pa.int64() for c in cols + ["sum_cents"]}},
     )
 
 
@@ -959,12 +799,13 @@ FROM events GROUP BY 1
 # ------------------------------------------------- rollup subtotals
 #
 # GROUP BY ROLLUP — the grouping-sets shape: (event_type, hour) detail
-# rows PLUS per-type subtotals PLUS a grand total in one result.  At
-# scale the subtotal levels are derived by RE-AGGREGATING THE DETAIL
-# AGGREGATE (hour-bounded, tiny), never by extra passes over the
-# corpus: one crosstab-style partial pass feeds all three levels.
-# NULL grouping keys are encoded as '' / -1 sentinels so the result
-# hash-verifies (the SQL twin COALESCEs identically).
+# rows PLUS per-type subtotals PLUS a grand total in one result.  Each
+# block emits its partials for all three levels at once (the subtotal and
+# total partials re-aggregate the block's own detail partial, so they are
+# bounded by its (type, hour) count), and one keyed exchange sums every
+# level: no second exchange over the detail aggregate, no extra pass over
+# the corpus.  NULL grouping keys are encoded as '' / -1 sentinels so the
+# result hash-verifies (the SQL twin COALESCEs identically).
 
 def events_rollup(sf_dir: str):
     """(event_type, hour, n, sum_cents) at three grouping levels:
@@ -972,11 +813,8 @@ def events_rollup(sf_dir: str):
     hour = -1).  Value-exact DuckDB twin in :func:`events_rollup_sql`."""
     ds = read(sf_dir, "events", columns=["ts", "event_type", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df["hour"] = (
-            df["ts"].dt.floor("h").astype("datetime64[s]").astype("int64")
-        ).astype(np.int64)
+    def partial(df: pd.DataFrame) -> pd.DataFrame:
+        df["hour"] = _hour(df["ts"])
         if ((df["event_type"] == "") | (df["hour"] < 0)).any():
             raise ValueError(
                 "events_rollup: an event_type of '' or an hour before 1970 "
@@ -985,66 +823,19 @@ def events_rollup(sf_dir: str):
         df["cents"] = np.floor(
             df["value"].to_numpy(np.float64) * 100.0 + 0.5
         ).astype(np.int64)
-        g = df.groupby(["event_type", "hour"], as_index=False).agg(
+        detail = df.groupby(["event_type", "hour"], as_index=False).agg(
             n=("cents", "size"), sum_cents=("cents", "sum")
         )
-        g["n"] = g["n"].astype(np.int64)
-        g["sum_cents"] = g["sum_cents"].astype(np.int64)
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    detail = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["event_type", "hour"])
-        .sum(["n", "sum_cents"])
-    )
-
-    def levels(batch: pa.Table) -> pa.Table:
-        # batch = a slice of the (type, hour)-bounded detail aggregate;
-        # emit detail rows plus RE-AGGREGATION PARTIALS for the rollup
-        # levels keyed by the sentinels (closed out by one tiny groupby)
-        df = pd.DataFrame(
-            {
-                "event_type": batch["event_type"].to_pylist(),
-                "hour": batch["hour"].to_pylist(),
-                "n": batch["sum(n)"].to_pylist(),
-                "sum_cents": batch["sum(sum_cents)"].to_pylist(),
-            }
-        )
-        by_type = df.groupby("event_type", as_index=False)[
-            ["n", "sum_cents"]
-        ].sum()
-        by_type["hour"] = np.int64(-1)
+        by_type = detail.groupby("event_type", as_index=False)[["n", "sum_cents"]].sum()
         total = pd.DataFrame(
-            {
-                "event_type": [""],
-                "hour": np.array([-1], dtype=np.int64),
-                "n": [df["n"].sum()],
-                "sum_cents": [df["sum_cents"].sum()],
-            }
+            {"event_type": [""], "n": [detail["n"].sum()], "sum_cents": [detail["sum_cents"].sum()]}
         )
-        out = pd.concat(
-            [df, by_type[df.columns], total[df.columns]], ignore_index=True
-        )
-        out["hour"] = out["hour"].astype(np.int64)
-        out["n"] = out["n"].astype(np.int64)
-        out["sum_cents"] = out["sum_cents"].astype(np.int64)
-        return pa.Table.from_pandas(out, preserve_index=False)
+        return pd.concat([detail, by_type.assign(hour=-1), total.assign(hour=-1)], ignore_index=True)
 
-    def close(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "event_type": batch["event_type"],
-                "hour": batch["hour"],
-                "n": pc.cast(batch["sum(n)"], pa.int64()),
-                "sum_cents": pc.cast(batch["sum(sum_cents)"], pa.int64()),
-            }
-        )
-
-    return (
-        detail.map_batches(levels, batch_format="pyarrow")
-        .groupby(["event_type", "hour"])
-        .sum(["n", "sum_cents"])
-        .map_batches(close, batch_format="pyarrow")
+    return reduce_by(
+        ds.map_batches(partial, batch_format="pandas"),
+        ["event_type", "hour"],
+        {"event_type": pa.string(), "hour": pa.int64(), "n": pa.int64(), "sum_cents": pa.int64()},
     )
 
 

@@ -13,7 +13,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.text_norm import NORMALIZE_SQL, normalize_column
-from . import co_partition, read, top_k
+from . import co_partition, read, reduce_by, top_k
 
 TOKEN_RE = "[A-Za-z0-9]+"
 
@@ -210,8 +210,9 @@ FROM c
 
 
 def term_freq(sf_dir: str, k: int = 20):
-    """Top-k corpus tokens: per-batch partial counts (map_batches) -> small
-    groupby sum -> sort/limit. The canonical pre-aggregate-then-shuffle shape."""
+    """Top-k corpus tokens: per-batch partial counts (map_batches) -> one
+    keyed exchange sums them -> global :func:`ops.top_k`. The canonical
+    pre-aggregate-then-exchange shape."""
     ds = read(sf_dir, "documents", columns=["text"])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -229,14 +230,16 @@ def term_freq(sf_dir: str, k: int = 20):
             }
         )
 
-    from ray.data.aggregate import Sum
+    partials = ds.map_batches(partial, batch_format="pyarrow")
+    return _top_counts(partials, "token", "cnt", k).drop_columns(["rank"])
 
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("token")
-        .aggregate(Sum("cnt", alias_name="cnt"))
-    )
-    return agg.sort(["cnt", "token"], descending=[True, False]).limit(k)
+
+def _top_counts(partials, key: str, count: str, k: int):
+    """The ``k`` keys of the largest summed ``count`` (ties by key, ascending)
+    from per-block (key, count) partials: one keyed exchange sums them, a
+    global :func:`ops.top_k` keeps the k, ranked 1..k in ``rank``."""
+    schema = {key: pa.string(), count: pa.int64()}
+    return top_k(reduce_by(partials, key, schema), None, [(count, False), (key, True)], k, schema)
 
 
 def term_freq_sql(k: int = 20) -> str:
@@ -288,13 +291,14 @@ FROM documents
 # The standard quality-threshold prune of an LLM-data pipeline: "drop the
 # bottom pct% of documents by token count".  A global quantile normally
 # needs a full sort; over an INTEGER-valued signal it reduces to a
-# histogram: per-batch value counts (partial aggregation, so the shuffle
-# carries one row per distinct value per block, not per document), one
-# small groupby-sum, and a threshold scan on the driver.  The histogram
-# materialization is bounded by the number of DISTINCT token counts —
+# histogram: per-batch value counts (partial aggregation, one row per
+# distinct value per block, not per document), summed on the driver with
+# no exchange, and a threshold scan there.  The driver's share is bounded
+# per block by the number of DISTINCT token counts —
 # <= max document length regardless of corpus size (a 100 TB corpus with
-# 100k-token docs yields <= 100k rows) — so this is a justified driver
-# materialize, and the threshold broadcasts back as a plain closure int.
+# 100k-token docs yields <= 100k rows a block) — so this is a justified
+# driver materialize, and the threshold broadcasts back as a plain
+# closure int.
 # Two streamed passes over the pruned (doc_id, text) columns beat one
 # pass + a corpus-sized (doc_id, n_tokens) materialize at scale.
 
@@ -328,14 +332,12 @@ def token_quantile_filter(sf_dir: str, pct: int = 10):
 
     hist = (
         ds.map_batches(hist_partial, batch_format="pyarrow")
-        .groupby("v")
-        .sum("c")
-        .to_pandas()  # bounded: one row per distinct token count
-        .sort_values("v")
+        .to_pandas()  # bounded: distinct token counts per block
+        .groupby("v")["c"]
+        .sum()
     )
-    thr = quantile_threshold(
-        hist["v"].to_numpy(np.int64), hist["sum(c)"].to_numpy(np.int64), pct
-    )
+    thr = quantile_threshold(hist.index.to_numpy(np.int64), hist.to_numpy(np.int64), pct)
+
 
     def filter_stage(batch: pa.Table) -> pa.Table:
         n = pc.cast(_count_re(batch["text"], TOKEN_RE), pa.int64())
@@ -371,7 +373,7 @@ FROM s, t WHERE s.n_tokens >= t.thr
 # of batching/block order and hash-verifiable against a DuckDB twin
 # computing the same registers from the same polynomial hash.  At scale
 # this replaces `count(DISTINCT token)`'s full shuffle with one
-# m-row aggregate (partial max per batch, then groupby(bucket).max).
+# m-row aggregate (partial max per batch, then one bucket-keyed max).
 # Bit length parity: numpy frexp's exponent == len(DuckDB bin(w)) for
 # w >= 1 (both are the IEEE exponent of an exactly-representable int).
 
@@ -410,14 +412,11 @@ def distinct_token_sketch(sf_dir: str, m: int = HLL_BUCKETS):
         g = df.groupby("bucket", as_index=False)["rho"].max()
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table({"bucket": batch["bucket"], "rho": batch["max(rho)"]})
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("bucket")
-        .max("rho")
-        .map_batches(finish, batch_format="pyarrow")
+    return reduce_by(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        "bucket",
+        {"bucket": pa.int64(), "rho": pa.int64()},
+        "max",
     )
 
 
@@ -502,18 +501,10 @@ def countmin_sketch(sf_dir: str, w: int = CM_WIDTH):
             }
         )
 
-    from ray.data.aggregate import Sum
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {"row": batch["row"], "col": batch["col"], "cnt": batch["cnt"]}
-        )
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["row", "col"])
-        .aggregate(Sum("cnt", alias_name="cnt"))
-        .map_batches(finish, batch_format="pyarrow")
+    return reduce_by(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        ["row", "col"],
+        {"row": pa.int64(), "col": pa.int64(), "cnt": pa.int64()},
     )
 
 
@@ -651,8 +642,8 @@ def vocab_encode(sf_dir: str, k: int = VOCAB_K):
     list column through the driver's hash compare.
 
     Scale shape: pass 1 pre-aggregates token counts per block, one
-    vocabulary-bounded groupby sums them, and a sort+limit keeps only K
-    rows — the driver materializes exactly K (token, id) pairs, never
+    vocabulary-bounded exchange sums them, and a global top-k keeps only
+    K rows — the driver materializes exactly K (token, id) pairs, never
     the vocabulary; the broadcast dict is O(K).  Pass 2 is one shuffle-free
     vectorized encode (pandas C-level dict gather + segment Horner).
     """
@@ -670,12 +661,9 @@ def vocab_encode(sf_dir: str, k: int = VOCAB_K):
         )
 
     vocab = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("t")
-        .sum("c")
-        .sort(["sum(c)", "t"], descending=[True, False])
-        .limit(k)
+        _top_counts(ds.map_batches(partial, batch_format="pyarrow"), "t", "c", k)
         .to_pandas()  # bounded: exactly K rows
+        .sort_values("rank")
     )
     ids = {tok: i for i, tok in enumerate(vocab["t"].tolist())}
     ids_ref = ray.put(ids)

@@ -3,8 +3,9 @@
     documents ──mb──> explode spans ──mb──> normalize text spans
               ──mb──> OCR (decode → det → DB post → sort → crop →
                        cls → rec → CTC)         [warm OcrStage per process]
-              ──mb──> block-local reassembly (groupby(doc_id) after a
-                      shuffle) ──> ordered span sequence
+              ──mb──> block-local reassembly (or, for scattered span
+                      rows, one co_partition on doc_id) ──> ordered span
+                      sequence
               ──> write_parquet / Dataset
 
 Every map is a task (``stages.warm.map_stage`` builds the OCR stage once
@@ -23,7 +24,7 @@ import pyarrow.parquet as pq
 
 from ..functions.ocr import OcrConfig
 from ..stages.ocr_stage import OcrStage
-from ..stages.reassemble import reassemble_block, reassemble_group
+from ..stages.reassemble import REASSEMBLY_IN, reassemble_block, reassemble_shuffle
 from ..stages.spans import explode_spans, normalize_text_spans
 # default_concurrency: the OCR workers of a pass by default, for callers
 from ..stages.warm import default_concurrency, map_stage, stage_workers  # noqa: F401
@@ -110,16 +111,13 @@ def extract_dataset(
         # raw post-OCR rows (full OCR_OUT_SCHEMA incl box/prob), no
         # projection, no reassembly — the regions-table building block
         return ds
-    ds = ds.select_columns(
-        ["doc_id", "offset", "region_idx", "kind", "text", "media_ref",
-         "span_idx", "n_spans"]
-    )
+    ds = ds.select_columns(REASSEMBLY_IN.names)
     if reassemble == "local":
         # zero-shuffle: documents are block-contiguous by construction
         # (one input row per doc + order-preserving map stages); see
         # stages/reassemble.py for the guarantee
         return ds.map_batches(reassemble_block, batch_format="pyarrow", batch_size=None)
-    return ds.groupby("doc_id").map_groups(reassemble_group, batch_format="pyarrow")
+    return reassemble_shuffle(ds)
 
 
 def extract_regions(docs_path: str, media_path: str | None = None, **kw):

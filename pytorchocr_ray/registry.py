@@ -16,13 +16,15 @@ Here the extension surface is an explicit dict of stage factories — no
 
 Registered stages: ``explode_spans``, ``normalize_text``, ``add_bucket``,
 ``ocr`` (the fused :class:`~.stages.ocr_stage.OcrStage`, the one OCR plan),
-``project``, ``reassemble_local`` and ``reassemble_shuffle``.
+``project``, ``reassemble_local`` (block-local) and ``reassemble_shuffle``
+(one ``ops.co_partition`` on doc_id, closed by the same block-local
+reassembly).
 
 A stage factory receives its ``params`` and returns one of
 ``("batches", fn, map_batches_kwargs)``, ``("stage", cls, cls_kwargs)`` — a
 warm class run by :func:`~.stages.warm.map_stage`, whose ``batch_size`` and
 ``concurrency`` come from the step's ``compute`` — or ``("dataset", fn)``
-where fn maps Dataset -> Dataset (for groupby etc.). Users register their
+where fn maps Dataset -> Dataset (for an exchange etc.). Users register their
 own with :func:`register_stage`.
 """
 
@@ -91,14 +93,9 @@ def _reassemble_local(**_params):
 
 @register_stage("reassemble_shuffle")
 def _reassemble_shuffle(**_params):
-    from .stages.reassemble import reassemble_group
+    from .stages.reassemble import reassemble_shuffle
 
-    return (
-        "dataset",
-        lambda ds: ds.groupby("doc_id").map_groups(
-            reassemble_group, batch_format="pyarrow"
-        ),
-    )
+    return ("dataset", reassemble_shuffle)
 
 
 def build_pipeline(ds, spec: list[dict[str, Any]]):

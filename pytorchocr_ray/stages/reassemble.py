@@ -1,16 +1,19 @@
 """Per-document reassembly (key: doc_id).
 
-Two physical plans:
+One close-out, :func:`reassemble_block`, over two physical plans:
 
-* :func:`reassemble_block` — ZERO-shuffle fast path. A document is one row
-  of the input table, so a whole document always lands in one read block,
-  and every upstream stage (explode, normalize, OCR) is an order-preserving
-  map over its block — a document's span rows are therefore contiguous
-  within one output block. Reassembly is then a block-local stable sort +
-  per-doc cumcount. Assumption documented here and asserted in tests; the
-  partitioned runner's bucket layout provides the same guarantee at scale.
-* :func:`reassemble_group` — the general ``groupby("doc_id").map_groups``
-  shuffle, for inputs where span rows arrive pre-exploded / scattered.
+* block-local (``reassemble="local"``) — the ZERO-shuffle fast path. A
+  document is one row of the input table, so a whole document always lands
+  in one read block, and every upstream stage (explode, normalize, OCR) is
+  an order-preserving map over its block — a document's span rows are
+  therefore contiguous within one output block. Reassembly is then a
+  block-local stable sort + per-doc cumcount. Assumption documented here
+  and asserted in tests; the partitioned runner's bucket layout provides
+  the same guarantee at scale.
+* :func:`reassemble_shuffle` — the general plan, for inputs where span rows
+  arrive pre-exploded / scattered: the library's one keyed exchange,
+  ``ops.co_partition`` on doc_id, brings every row of a document into one
+  group, and the group closes with the same block-local reassembly.
 
 Inside a doc: stable sort by (offset, region_idx), 0-based ``order``.
 Document order is restored locally — never a global sort (SURVEY.md §2.8).
@@ -23,6 +26,12 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+# The span rows reassembly reads: the OCR stage's output minus box and prob.
+REASSEMBLY_IN = pa.schema(
+    [("doc_id", pa.string()), ("offset", pa.int32()), ("region_idx", pa.int32()),
+     ("kind", pa.string()), ("text", pa.string()), ("media_ref", pa.string()),
+     ("span_idx", pa.int32()), ("n_spans", pa.int32())]
+)
 
 def reassemble_block(batch: pa.Table) -> pa.Table:
     """Block-local reassembly (requires doc-contiguous blocks, see module
@@ -70,23 +79,16 @@ def reassemble_block(batch: pa.Table) -> pa.Table:
     )
 
 
-def reassemble_group(group: pa.Table) -> pa.Table:
-    if "region_idx" in group.column_names:
-        group = group.filter(pc.greater_equal(group["region_idx"], 0))
-    idx = pc.sort_indices(
-        group,
-        sort_keys=[("offset", "ascending"), ("region_idx", "ascending")],
-    )
-    g = group.take(idx)
-    return pa.table(
-        {
-            "doc_id": g["doc_id"],
-            "order": pa.array(np.arange(len(g), dtype=np.int32)),
-            "kind": g["kind"],
-            "text": g["text"],
-            "media_ref": g["media_ref"],
-        }
-    )
+def reassemble_shuffle(ds):
+    """Reassembly of span rows in any block layout (``REASSEMBLY_IN``
+    columns): one ``co_partition`` on doc_id, each group closed by
+    :func:`reassemble_block`."""
+    from ..ops import co_partition
+
+    def close(rows: pd.DataFrame) -> pa.Table:
+        return reassemble_block(pa.Table.from_pandas(rows, preserve_index=False))
+
+    return co_partition(close, rows=(ds, "doc_id", REASSEMBLY_IN))
 
 
 def nest_block(batch: pa.Table) -> pa.Table:

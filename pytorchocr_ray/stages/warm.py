@@ -13,7 +13,9 @@ read to write, with no pool to start and no hand-off between operators.
 
 ``concurrency`` is a CPU limit on the Dataset's own context.
 ``concurrency=`` on the map itself would cut the pass into separate
-operators again.
+operators again. :func:`map_cached` is the same cached map without that
+limit, for cheap stateful stages (the dedup hashers) inside queries that
+must keep every CPU for their exchanges.
 """
 
 from __future__ import annotations
@@ -57,19 +59,23 @@ def _run_stage(token: str, cls: type, params: dict, batch):
     return stage(batch)
 
 
-def map_stage(ds, cls: type, params: dict | None = None, *,
-              batch_size="default", concurrency: int | None = None):
+def map_cached(ds, cls: type, params: dict | None = None, *, batch_size="default"):
     """``ds.map_batches`` of the stage ``cls(**params)`` on pyarrow batches,
-    built at most once per worker process (see the module docstring).
-
-    The pass runs on at most :func:`stage_workers` CPUs, a limit set on the
-    Dataset's own context, which every Dataset derived from ``ds`` shares."""
+    built at most once per worker process (see the module docstring)."""
     token, params = uuid.uuid4().hex, params or {}
-    opts = ds.context.execution_options
-    opts.resource_limits = opts.resource_limits.copy(cpu=stage_workers(concurrency))
 
     def run(batch):
         return _run_stage(token, cls, params, batch)
 
     run.__name__ = cls.__name__  # Ray names the operator after it
     return ds.map_batches(run, batch_format="pyarrow", batch_size=batch_size)
+
+
+def map_stage(ds, cls: type, params: dict | None = None, *,
+              batch_size="default", concurrency: int | None = None):
+    """:func:`map_cached` on at most :func:`stage_workers` CPUs, a limit set
+    on the Dataset's own context, which every Dataset derived from ``ds``
+    shares."""
+    opts = ds.context.execution_options
+    opts.resource_limits = opts.resource_limits.copy(cpu=stage_workers(concurrency))
+    return map_cached(ds, cls, params, batch_size=batch_size)

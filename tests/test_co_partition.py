@@ -131,3 +131,87 @@ def test_map_groups_only_in_co_partition():
     ops = pathlib.Path(__file__).resolve().parents[1] / "pytorchocr_ray" / "ops"
     sites = {p.name: p.read_text().count(".map_groups(") for p in sorted(ops.glob("*.py"))}
     assert {name: n for name, n in sites.items() if n} == {"__init__.py": 1}
+
+
+# Ray keyed exchanges deliberately left outside co_partition, by
+# (module, top-level function), with the reason each stays.
+LEFT_ALONE = {
+    ("ops/relational.py", "revenue_by_segment_join"):
+        "Dataset.join is the query's point: it shows Ray's native "
+        "hash-partitioned join (the both-sides-large plan beside the "
+        "broadcast twin); its aggregate after the join goes through reduce_by",
+}
+
+# calls whose result is a Ray Dataset: ``.groupby(`` on one is Ray's
+_DATASET_CALLS = {
+    "read", "read_parquet", "from_arrow", "from_pandas", "map_batches", "map_stage",
+    "map_cached", "materialize", "repartition", "select_columns", "union",
+    "co_partition", "reduce_by", "top_k",
+}
+
+
+def _ray_exchanges(path):
+    """(top-level function, what) of every Ray keyed exchange and global
+    sort in one module: a Dataset ``.groupby(``, ``.map_groups(``, a
+    ``ray.data.aggregate`` import, a keyed ``.join(``, a ``.sort(`` with
+    Ray's ``descending=`` and a ``.sort(...).limit(``.  A ``.groupby(`` is
+    Ray's when it is called on a Dataset-making call, or consumed the way
+    only Ray's grouped data is (``.aggregate(``, ``.map_groups(``, or a
+    column aggregate given its column, ``.sum("c")``)."""
+    import ast
+
+    tree = ast.parse(path.read_text())
+    owner = {}
+    for top in tree.body:
+        for node in ast.walk(top):
+            owner[node] = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+    parent = {c: n for n in ast.walk(tree) for c in ast.iter_child_nodes(n)}
+
+    def callee(node):
+        f = node.func if isinstance(node, ast.Call) else None
+        return f.attr if isinstance(f, ast.Attribute) else f.id if isinstance(f, ast.Name) else None
+
+    found = set()
+    for node in ast.walk(tree):
+        what = None
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ray.data.aggregate"):
+            what = "ray.data.aggregate import"
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            attr, kw = node.func.attr, {k.arg for k in node.keywords}
+            up = parent.get(node)
+            use = up.attr if isinstance(up, ast.Attribute) else None
+            use_call = parent.get(up)
+            if attr == "groupby" and (
+                callee(node.func.value) in _DATASET_CALLS
+                or use in ("aggregate", "map_groups")
+                or (use in ("sum", "min", "max", "mean", "std")
+                    and isinstance(use_call, ast.Call) and use_call.args)
+            ):
+                what = "groupby"
+            elif attr == "map_groups":
+                what = "map_groups"
+            elif attr == "join" and kw & {"on", "num_partitions"}:
+                what = "join"
+            elif attr == "sort" and "descending" in kw:
+                what = "global sort"
+            elif attr == "limit" and callee(node.func.value) == "sort":
+                what = "sort().limit()"
+        if what:
+            found.add((owner.get(node, "<module>"), what))
+    return found
+
+
+def test_every_ray_exchange_goes_through_co_partition():
+    """One keyed exchange for the whole library: a Ray groupby, map_groups
+    or ``ray.data.aggregate`` import appears only inside co_partition, no
+    global sort or sort-limit remains (a top-k is ``ops.top_k``), and every
+    other Ray keyed exchange is a named LEFT_ALONE site."""
+    import pathlib
+
+    package = pathlib.Path(__file__).resolve().parents[1] / "pytorchocr_ray"
+    sites = {}
+    for path in sorted(package.rglob("*.py")):
+        for func, what in _ray_exchanges(path):
+            sites.setdefault((str(path.relative_to(package)), func), set()).add(what)
+    assert sites.pop(("ops/__init__.py", "co_partition")) == {"groupby", "map_groups"}
+    assert sites == {site: {"join"} for site in LEFT_ALONE}

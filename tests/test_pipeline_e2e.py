@@ -220,6 +220,18 @@ ray.shutdown()
 """
 
 
+def _log_excerpt(log: str, n: int = 3000) -> str:
+    """A failed subprocess's log for an assertion message: its last ``n``
+    characters, and before them its first traceback (its first error, which
+    the tail loses when a later crash floods the log)."""
+    import re
+
+    first = re.search(r"Traceback \(most recent call last\)|Fatal Python error|\*\*\* SIG", log)
+    if first is None or first.start() >= len(log) - n:
+        return log[-n:]
+    return f"first traceback:\n{log[first.start():first.start() + n]}\n...\nlast lines:\n{log[-n:]}"
+
+
 def test_pool_of_every_cpu_finishes_or_refuses(small_corpus, golden, tmp_path):
     """A pool asking for every cluster CPU must finish or refuse, never
     hang: 4 whole-CPU actors on 4 CPUs wedged the executor (no pass in
@@ -242,7 +254,7 @@ def test_pool_of_every_cpu_finishes_or_refuses(small_corpus, golden, tmp_path):
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
         pytest.fail("extract_dataset(concurrency=4) on 4 CPUs ran past 180 s")
-    assert proc.returncode == 0, log[-3000:]
+    assert proc.returncode == 0, _log_excerpt(log)
     if "REFUSED" not in log:
         got = _canon(pd.read_parquet(out))
         pd.testing.assert_frame_equal(got, golden)
