@@ -5,7 +5,7 @@ the PyTorchOCR reference (detect -> reading-order sort -> recognize -> per-doc
 reassembly) expressed as ``ray.data.Dataset`` pipelines of ``map_batches``
 over zero-copy Arrow batches, with the stateful model stages built once per
 worker process inside fused task operators, and an optional
-``groupby(doc_id)`` shuffle for span reassembly.
+``co_partition`` exchange on doc_id for span reassembly.
 
 Layout:
   functions/  pure numpy/pyarrow kernels shared by the pipeline AND the oracle

@@ -216,13 +216,19 @@ def top_k(ds, key, order, k: int, schema):
     input columns as :func:`co_partition` takes them.  Every block keeps
     only its own top-k per key, so the exchange carries at most ``k`` rows
     per (key, block), and one :func:`co_partition` call closes the rest
-    out with the same head-k.  Returns the schema's columns plus an int64
-    ``rank``."""
+    out with the same head-k.  A global top-k needs no exchange: its at
+    most ``k`` rows per block are gathered into one block and closed
+    there.  Returns the schema's columns plus an int64 ``rank``."""
     key = [] if key is None else [key] if isinstance(key, str) else list(key)
     schema = pa.schema(schema)
 
     def partial(batch: pa.Table) -> pa.Table:
         return _head_k(batch.select(schema.names).cast(schema), key, order, k)
+
+    if not key:
+        return ds.map_batches(partial, batch_format="pyarrow").repartition(1).map_batches(
+            partial, batch_format="pyarrow", batch_size=None
+        )
 
     def close(rows) -> pa.Table:
         # no pandas metadata: Ray cannot hash a schema that carries it

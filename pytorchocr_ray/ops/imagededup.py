@@ -22,7 +22,7 @@ grouping against SQL semantics.
 
 Scale shape: decode+hash is a warm-stage task ``map_batches`` over the
 sharded media table (payload bytes never shuffle); the only exchange is
-the groupby on the 8-byte hash.  The synthetic corpus has no planted
+the ``co_partition`` on the 8-byte hash.  The synthetic corpus has no planted
 byte-duplicates, so on testdata the groups are singletons (the kernel
 parity is the verified substance there); the grouping logic is exercised
 by the planted-duplicate unit test.

@@ -26,11 +26,15 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-# The span rows reassembly reads: the OCR stage's output minus box and prob.
-REASSEMBLY_IN = pa.schema(
+# The span columns reassembly reads.
+SPAN_ROWS = pa.schema(
     [("doc_id", pa.string()), ("offset", pa.int32()), ("region_idx", pa.int32()),
-     ("kind", pa.string()), ("text", pa.string()), ("media_ref", pa.string()),
-     ("span_idx", pa.int32()), ("n_spans", pa.int32())]
+     ("kind", pa.string()), ("text", pa.string()), ("media_ref", pa.string())]
+)
+# The block-local plan's input: the OCR stage's output minus box and prob;
+# span lineage (span_idx, n_spans) feeds reassemble_block's contiguity guard.
+REASSEMBLY_IN = pa.schema(
+    list(SPAN_ROWS) + [("span_idx", pa.int32()), ("n_spans", pa.int32())]
 )
 
 def reassemble_block(batch: pa.Table) -> pa.Table:
@@ -80,15 +84,17 @@ def reassemble_block(batch: pa.Table) -> pa.Table:
 
 
 def reassemble_shuffle(ds):
-    """Reassembly of span rows in any block layout (``REASSEMBLY_IN``
+    """Reassembly of span rows in any block layout (``SPAN_ROWS``
     columns): one ``co_partition`` on doc_id, each group closed by
-    :func:`reassemble_block`."""
+    :func:`reassemble_block`.  co_partition puts every row of a document
+    in one group, so the block-local contiguity guard has nothing to
+    check and the lineage columns are not carried."""
     from ..ops import co_partition
 
     def close(rows: pd.DataFrame) -> pa.Table:
         return reassemble_block(pa.Table.from_pandas(rows, preserve_index=False))
 
-    return co_partition(close, rows=(ds, "doc_id", REASSEMBLY_IN))
+    return co_partition(close, rows=(ds, "doc_id", SPAN_ROWS))
 
 
 def nest_block(batch: pa.Table) -> pa.Table:

@@ -142,22 +142,30 @@ LEFT_ALONE = {
         "broadcast twin); its aggregate after the join goes through reduce_by",
 }
 
-# calls whose result is a Ray Dataset: ``.groupby(`` on one is Ray's
-_DATASET_CALLS = {
-    "read", "read_parquet", "from_arrow", "from_pandas", "map_batches", "map_stage",
-    "map_cached", "materialize", "repartition", "select_columns", "union",
-    "co_partition", "reduce_by", "top_k",
-}
+# The methods of Ray's grouped data; a ``.groupby(`` consumed by any other
+# method is pandas's.
+_RAY_GROUPED = {"aggregate", "map_groups", "count", "sum", "min", "max", "mean", "std"}
+# keywords only pandas's groupby takes
+_PANDAS_GROUPBY_KW = {"sort", "as_index", "dropna", "observed", "group_keys", "level"}
+_ARRAY_MODULES = {"np", "numpy", "pd", "pandas"}
 
 
 def _ray_exchanges(path):
     """(top-level function, what) of every Ray keyed exchange and global
     sort in one module: a Dataset ``.groupby(``, ``.map_groups(``, a
-    ``ray.data.aggregate`` import, a keyed ``.join(``, a ``.sort(`` with
-    Ray's ``descending=`` and a ``.sort(...).limit(``.  A ``.groupby(`` is
-    Ray's when it is called on a Dataset-making call, or consumed the way
-    only Ray's grouped data is (``.aggregate(``, ``.map_groups(``, or a
-    column aggregate given its column, ``.sum("c")``)."""
+    ``ray.data.aggregate`` import, a keyed ``.join(``, a Dataset
+    ``.unique(col)`` and a Dataset ``.sort(``.
+
+    Types are not known to an AST, so a call is Ray's unless it shows
+    itself as something else.  A ``.groupby(`` is pandas's when it takes a
+    pandas-only keyword (``sort=``, ``as_index=``, ...), is indexed by
+    columns, iterated, or consumed by a method Ray's grouped data lacks
+    (``.agg``, ``.size``, ...); any other, also one bound to a name first,
+    counts as Ray's.  A ``.sort(`` is a list's or an array's when it is
+    numpy's, or takes no column: no positional argument, no ``descending=``
+    or ``boundaries=``, and a ``key=`` that is a lambda.  A ``.unique(`` is
+    Ray's when given a column and not called on numpy or pandas.  Calls
+    reached through ``getattr`` or ``**kwargs`` are not seen."""
     import ast
 
     tree = ast.parse(path.read_text())
@@ -166,36 +174,49 @@ def _ray_exchanges(path):
         for node in ast.walk(top):
             owner[node] = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
     parent = {c: n for n in ast.walk(tree) for c in ast.iter_child_nodes(n)}
+    iterated = {n.iter for n in ast.walk(tree) if isinstance(n, (ast.For, ast.comprehension))}
 
-    def callee(node):
-        f = node.func if isinstance(node, ast.Call) else None
-        return f.attr if isinstance(f, ast.Attribute) else f.id if isinstance(f, ast.Name) else None
+    def pandas_groupby(node, kw):
+        up = parent.get(node)
+        return (
+            kw & _PANDAS_GROUPBY_KW
+            or node in iterated
+            or isinstance(up, ast.Subscript)
+            or (isinstance(up, ast.Attribute) and up.attr not in _RAY_GROUPED)
+        )
+
+    def list_sort(node, kw):
+        key = next((k.value for k in node.keywords if k.arg == "key"), None)
+        return not node.args and not kw & {"descending", "boundaries"} and (
+            key is None or isinstance(key, ast.Lambda)
+        )
 
     found = set()
     for node in ast.walk(tree):
         what = None
-        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ray.data.aggregate"):
+        if isinstance(node, ast.ImportFrom) and (
+            (node.module or "").startswith("ray.data.aggregate")
+            or (node.module == "ray.data" and any(a.name == "aggregate" for a in node.names))
+        ):
+            what = "ray.data.aggregate import"
+        elif isinstance(node, ast.Import) and any(
+            a.name.startswith("ray.data.aggregate") for a in node.names
+        ):
             what = "ray.data.aggregate import"
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             attr, kw = node.func.attr, {k.arg for k in node.keywords}
-            up = parent.get(node)
-            use = up.attr if isinstance(up, ast.Attribute) else None
-            use_call = parent.get(up)
-            if attr == "groupby" and (
-                callee(node.func.value) in _DATASET_CALLS
-                or use in ("aggregate", "map_groups")
-                or (use in ("sum", "min", "max", "mean", "std")
-                    and isinstance(use_call, ast.Call) and use_call.args)
-            ):
+            recv = node.func.value
+            module = isinstance(recv, ast.Name) and recv.id in _ARRAY_MODULES
+            if attr == "groupby" and not pandas_groupby(node, kw):
                 what = "groupby"
             elif attr == "map_groups":
                 what = "map_groups"
             elif attr == "join" and kw & {"on", "num_partitions"}:
                 what = "join"
-            elif attr == "sort" and "descending" in kw:
+            elif attr == "unique" and node.args and not module:
+                what = "unique"
+            elif attr == "sort" and not module and not list_sort(node, kw):
                 what = "global sort"
-            elif attr == "limit" and callee(node.func.value) == "sort":
-                what = "sort().limit()"
         if what:
             found.add((owner.get(node, "<module>"), what))
     return found
@@ -204,8 +225,9 @@ def _ray_exchanges(path):
 def test_every_ray_exchange_goes_through_co_partition():
     """One keyed exchange for the whole library: a Ray groupby, map_groups
     or ``ray.data.aggregate`` import appears only inside co_partition, no
-    global sort or sort-limit remains (a top-k is ``ops.top_k``), and every
-    other Ray keyed exchange is a named LEFT_ALONE site."""
+    Dataset sort or unique remains (a top-k is ``ops.top_k``), and every
+    other Ray keyed exchange is a named LEFT_ALONE site.  What the scan
+    can and cannot tell apart is in :func:`_ray_exchanges`."""
     import pathlib
 
     package = pathlib.Path(__file__).resolve().parents[1] / "pytorchocr_ray"

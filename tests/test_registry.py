@@ -4,7 +4,9 @@ import pandas as pd
 import pytest
 
 
-def test_build_pipeline_matches_extract(ray_session, small_corpus):
+def _pipeline_vs_extract(small_corpus, reassemble_stage):
+    """(build_pipeline output, extract_dataset output) over the flagship
+    spec, reassembled by the named registry stage."""
     import ray.data as rd
 
     from pytorchocr_ray.pipelines.extract import extract_dataset, load_media_store
@@ -29,7 +31,7 @@ def test_build_pipeline_matches_extract(ray_session, small_corpus):
                 "columns": ["doc_id", "offset", "region_idx", "kind", "text", "media_ref"]
             },
         },
-        {"stage": "reassemble_local"},
+        {"stage": reassemble_stage},
     ]
     got = build_pipeline(rd.read_parquet(docs), spec).to_pandas()
     want = extract_dataset(docs, media, concurrency=2).to_pandas()
@@ -37,7 +39,17 @@ def test_build_pipeline_matches_extract(ray_session, small_corpus):
     def canon(df):
         return df.sort_values(["doc_id", "order"]).reset_index(drop=True)
 
-    pd.testing.assert_frame_equal(canon(got), canon(want))
+    return canon(got), canon(want)
+
+
+def test_build_pipeline_matches_extract(ray_session, small_corpus):
+    pd.testing.assert_frame_equal(*_pipeline_vs_extract(small_corpus, "reassemble_local"))
+
+
+def test_build_pipeline_shuffle_matches_extract(ray_session, small_corpus):
+    """The registry's shuffle reassembly runs on the same six projected
+    columns as the block-local one and gives the same rows."""
+    pd.testing.assert_frame_equal(*_pipeline_vs_extract(small_corpus, "reassemble_shuffle"))
 
 
 def test_unknown_stage_raises(ray_session):
