@@ -310,36 +310,25 @@ def bpe_reference(sf_dir: str, n_merges: int, max_words: int):
 
 
 def _fixture_dir(sf_dir: str, n_merges: int, max_words: int) -> str:
-    """Expected tables from the serial reference, cached per module
-    source, parameters and corpus CONTENT (a rewrite that keeps the
-    file's size and mtime still gets a fresh fixture)."""
-    import hashlib
+    """Expected tables from the serial reference, cached by
+    :func:`~..state.cache.cached` on the module source, parameters and
+    corpus CONTENT (a rewrite that keeps the file's size and mtime still
+    gets a fresh fixture)."""
     import os
     from pathlib import Path
 
-    src = Path(__file__).read_bytes()
-    doc = Path(f"{sf_dir}/documents.parquet").read_bytes()
-    sig = hashlib.sha256(
-        src + str((n_merges, max_words)).encode() + doc
-    ).hexdigest()[:16]
-    d = f"/tmp/pytorchocr_bpe/{sig}"
-    marker = os.path.join(d, "_SUCCESS")
-    if not os.path.exists(marker):
-        import pyarrow.parquet as pq
+    import pyarrow.parquet as pq
 
-        os.makedirs(d, exist_ok=True)
+    from ..state import cache
+
+    def build(d: str) -> None:
         merge_rows, encode_rows = bpe_reference(sf_dir, n_merges, max_words)
         assert merge_rows, "corpus yields at least one merge"
-        pq.write_table(
-            pa.Table.from_pylist(merge_rows),
-            os.path.join(d, "merges.parquet"),
-        )
-        pq.write_table(
-            pa.Table.from_pylist(encode_rows),
-            os.path.join(d, "encodes.parquet"),
-        )
-        open(marker, "w").close()
-    return d
+        pq.write_table(pa.Table.from_pylist(merge_rows), os.path.join(d, "merges.parquet"))
+        pq.write_table(pa.Table.from_pylist(encode_rows), os.path.join(d, "encodes.parquet"))
+
+    doc = Path(f"{sf_dir}/documents.parquet").read_bytes()
+    return cache.cached("bpe", build, (n_merges, max_words), (__file__,), doc)
 
 
 def bpe_merges_sql(

@@ -119,46 +119,29 @@ def _media_files(media_dir: str) -> list[str]:
 
 def oracle_dhash_fixture(media_dir: str) -> str:
     """Run the independent oracle over the media table -> fixture parquet
-    (media_ref, dhash), cached under /tmp keyed by module source + a
-    content signature of the media files (size+mtime — auto-busts on
-    regeneration)."""
-    import hashlib
-    import os
-
+    (media_ref, dhash), cached by :func:`~..state.cache.cached_parquet` on
+    the module source and the media files' size and mtime (regeneration
+    busts it)."""
     import pyarrow.parquet as pq
 
+    from ..state import cache
+
     files = _media_files(media_dir)
-    sig = "|".join(
-        f"{os.path.basename(f)}:{os.path.getsize(f)}:{os.stat(f).st_mtime_ns}"
-        for f in files
-    )
-    src = hashlib.sha256(open(os.path.abspath(__file__), "rb").read()).hexdigest()[:12]
-    tag = hashlib.sha256(f"{os.path.abspath(media_dir)}|{sig}|{src}".encode()).hexdigest()[:16]
-    out_dir = os.path.join("/tmp", "pytorchocr_dhash", tag)
-    path = os.path.join(out_dir, "dhash.parquet")
-    if os.path.exists(os.path.join(out_dir, "_SUCCESS")):
-        return path
 
-    from ..functions.png import decode_gray
+    def make_table() -> pa.Table:
+        from ..functions.png import decode_gray
 
-    refs: list[str] = []
-    hashes: list[int] = []
-    for f in files:
-        t = pq.read_table(f, columns=["media_ref", "data"])
-        for ref, data in zip(t["media_ref"].to_pylist(), t["data"].to_pylist()):
-            img = decode_gray(data)
-            refs.append(ref)
-            hashes.append(DHASH_EMPTY if img is None else _oracle_dhash(img))
-    os.makedirs(out_dir, exist_ok=True)
-    tmp = path + ".tmp"
-    pq.write_table(
-        pa.table({"media_ref": pa.array(refs), "dhash": pa.array(hashes, pa.int64())}),
-        tmp,
-    )
-    os.replace(tmp, path)
-    with open(os.path.join(out_dir, "_SUCCESS"), "w"):
-        pass
-    return path
+        refs: list[str] = []
+        hashes: list[int] = []
+        for f in files:
+            t = pq.read_table(f, columns=["media_ref", "data"])
+            for ref, data in zip(t["media_ref"].to_pylist(), t["data"].to_pylist()):
+                img = decode_gray(data)
+                refs.append(ref)
+                hashes.append(DHASH_EMPTY if img is None else _oracle_dhash(img))
+        return pa.table({"media_ref": pa.array(refs), "dhash": pa.array(hashes, pa.int64())})
+
+    return cache.cached_parquet("dhash", make_table, (), (__file__,), cache.stat_sig(*files))
 
 
 class DHashStage:

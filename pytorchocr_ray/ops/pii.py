@@ -17,7 +17,7 @@ documents with deterministic doc_id-keyed PII tokens spliced in at
 LCG-chosen token positions (~3/4 of docs get one, ~1/5 of those a
 second).  Both the engine and the SQL twin read the SAME fixture
 parquet — the fixture is the input contract, not the oracle — cached
-under /tmp keyed by the source table's content signature + this
+by ``state.cache`` on the source table's size and mtime and this
 module's source.  At production scale
 the op runs directly over the raw documents table; everything
 Ray-side (column pruning, batch kernel, zero shuffles) is the real
@@ -61,50 +61,35 @@ def _pii_token(doc_id: int, which: int) -> str:
 
 def synth_pii_parquet(sf_dir: str) -> str:
     """Fixture (doc_id, text): the sf documents with deterministic PII
-    splices.  Cached under /tmp, content-signature keyed."""
-    import hashlib
+    splices.  Cached by :func:`~..state.cache.cached_parquet` on this
+    module's source and the documents file's size and mtime."""
     import os
 
     import pyarrow.parquet as pq
 
-    src_path = os.path.join(sf_dir, "documents.parquet")
-    st = os.stat(src_path)
-    src = hashlib.sha256(
-        open(os.path.abspath(__file__), "rb").read()
-    ).hexdigest()[:12]
-    tag = hashlib.sha256(
-        f"{os.path.abspath(src_path)}|{st.st_size}|{st.st_mtime_ns}|{src}".encode()
-    ).hexdigest()[:16]
-    out_dir = os.path.join("/tmp", "pytorchocr_pii", tag)
-    path = os.path.join(out_dir, "documents.parquet")
-    if os.path.exists(os.path.join(out_dir, "_SUCCESS")):
-        return path
+    from ..state import cache
 
-    t = pq.read_table(src_path, columns=["doc_id", "text"])
-    ids = t["doc_id"].to_numpy()
-    out = []
-    for doc_id, text in zip(ids, t["text"].to_pylist()):
-        h1 = (int(doc_id) * _LCG_A + _LCG_C) % _LCG_M
-        toks = text.split()
-        kinds = []
-        if h1 % 4 != 3:  # ~3/4 of docs carry PII
-            kinds.append(h1 % 4)
-            if (h1 // 7) % 5 == 0:  # some carry a second, different kind
-                kinds.append((h1 + 1) % 3)
-        for j, k in enumerate(kinds):
-            pos = ((h1 // 11) + 13 * j) % (len(toks) + 1)
-            toks.insert(pos, _pii_token(int(doc_id), k))
-        out.append(" ".join(toks))
-    os.makedirs(out_dir, exist_ok=True)
-    tmp = path + ".tmp"
-    pq.write_table(
-        pa.table({"doc_id": t["doc_id"], "text": pa.array(out, pa.string())}),
-        tmp,
-    )
-    os.replace(tmp, path)
-    with open(os.path.join(out_dir, "_SUCCESS"), "w"):
-        pass
-    return path
+    src_path = os.path.join(sf_dir, "documents.parquet")
+
+    def make_table() -> pa.Table:
+        t = pq.read_table(src_path, columns=["doc_id", "text"])
+        ids = t["doc_id"].to_numpy()
+        out = []
+        for doc_id, text in zip(ids, t["text"].to_pylist()):
+            h1 = (int(doc_id) * _LCG_A + _LCG_C) % _LCG_M
+            toks = text.split()
+            kinds = []
+            if h1 % 4 != 3:  # ~3/4 of docs carry PII
+                kinds.append(h1 % 4)
+                if (h1 // 7) % 5 == 0:  # some carry a second, different kind
+                    kinds.append((h1 + 1) % 3)
+            for j, k in enumerate(kinds):
+                pos = ((h1 // 11) + 13 * j) % (len(toks) + 1)
+                toks.insert(pos, _pii_token(int(doc_id), k))
+            out.append(" ".join(toks))
+        return pa.table({"doc_id": t["doc_id"], "text": pa.array(out, pa.string())})
+
+    return cache.cached_parquet("pii", make_table, (), (__file__,), cache.stat_sig(src_path))
 
 
 def pii_redact(sf_dir: str):

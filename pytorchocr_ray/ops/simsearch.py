@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..state import cache
 from . import read, top_k
 
 
@@ -141,21 +142,7 @@ IVF_SAMPLE = 512
 IVF_ITERS = 8
 
 
-def _content_sig(sf_dir: str) -> str:
-    """Cheap content signature of the corpus (size + mtime of
-    embeddings.parquet), folded into every trained-fixture cache tag so
-    regenerating the corpus IN PLACE at the same path busts the cache
-    (a path+params+source key alone silently reused stale quantizers
-    after an in-place rewrite)."""
-    import os
-
-    st = os.stat(os.path.join(sf_dir, "embeddings.parquet"))
-    return f"{st.st_size}:{st.st_mtime_ns}"
-
-
-def _load_train_sample(
-    sf_dir: str, sample_n: int, mode: str = "strided"
-) -> tuple[np.ndarray, np.ndarray]:
+def _load_train_sample(sf_dir: str, sample_n: int) -> tuple[np.ndarray, np.ndarray]:
     """Corpus-wide deterministic training sample: stride over the dense
     vec_id space (keep ``vec_id % stride == 0``) so every id range
     contributes rows — a corpus sorted/clustered by source no
@@ -163,10 +150,7 @@ def _load_train_sample(
     a pure function of the corpus (no RNG), so the trained fixtures stay
     SQL-twinnable.  The scan is one column-pruned streaming pass with the
     modulo filter applied per record batch (memory bounded by the kept
-    rows).  ``mode="head"`` keeps the earlier first-rows sample — used
-    only by the skew-bias regression test as the strawman."""
-    if mode == "head":
-        return _load_quantized(sf_dir, sample_n)
+    rows)."""
     import pyarrow.dataset as pds
     import pyarrow.parquet as pq
 
@@ -191,12 +175,19 @@ def _load_train_sample(
     )
 
 
+def _trained(name: str, sf_dir: str, params, make_table) -> str:
+    """``make_table()``'s parquet, cached on ``params``, this module's
+    source and the size and mtime of the corpus embeddings (an in-place
+    regeneration busts it)."""
+    sig = cache.stat_sig(f"{sf_dir}/embeddings.parquet")
+    return cache.cached_parquet(name, make_table, params, (__file__,), sig)
+
+
 def train_ivf_centroids(
     sf_dir: str,
     n_centroids: int = 16,
     sample_n: int = IVF_SAMPLE,
     iters: int = IVF_ITERS,
-    sample_mode: str = "strided",
 ) -> str:
     """Deterministic Lloyd's k-means over a strided corpus-wide sample
     -> centroids parquet path (``cid``, ``qd list<int64>``).
@@ -207,62 +198,39 @@ def train_ivf_centroids(
     (strided sample, first-k init, fixed iteration count,
     integer-quantized updates) so the DuckDB twin can read the SAME
     centroid table from this parquet and reproduce assignment, probing
-    and ranking value-exactly.  Cached
-    under /tmp keyed by params + the module source + a corpus content
-    signature (auto-busts on edit OR in-place data regen), with a
-    ``_SUCCESS`` marker for crash safety — training is driver-side on the
-    bounded sample; at 100 TB the sample read is still one column-pruned
-    streaming scan."""
-    import hashlib
-    import os
+    and ranking value-exactly.  Cached by :func:`_trained` —
+    training is driver-side on the bounded sample; at 100 TB the sample
+    read is still one column-pruned streaming scan."""
 
-    import pyarrow as pa
-    import pyarrow.parquet as pq
+    def build() -> pa.Table:
+        _ids, x = _load_train_sample(sf_dir, sample_n)
+        k = min(n_centroids, len(x))
+        cent = x[:k].astype(np.float64)  # first-k init, deterministic
+        for _ in range(iters):
+            # assignment ties -> lowest cid (argmax returns the first max),
+            # matching the SQL ORDER BY cos DESC, cid ASC
+            assign = _qcos(x, cent).argmax(axis=1)
+            for c in range(k):
+                members = x[assign == c]
+                if len(members):
+                    # integer-quantized update: the stored centroid is exactly
+                    # what the SQL twin reads back.  Guard: a
+                    # floored mean that cancels to the zero vector would make
+                    # _qcos emit NaN (0/0) and silently diverge from the SQL
+                    # twin's NULL ordering — keep the previous centroid.
+                    upd = np.floor(members.mean(axis=0) + 0.5)
+                    if np.any(upd):
+                        cent[c] = upd
+        return pa.table(
+            {
+                "cid": pa.array(np.arange(k, dtype=np.int64)),
+                "qd": pa.array(
+                    [row.astype(np.int64) for row in cent], pa.list_(pa.int64())
+                ),
+            }
+        )
 
-    src = hashlib.sha256(
-        open(os.path.abspath(__file__), "rb").read()
-    ).hexdigest()[:12]
-    tag = hashlib.sha256(
-        f"{os.path.abspath(sf_dir)}|{n_centroids}|{sample_n}|{iters}|{src}"
-        f"|{sample_mode}|{_content_sig(sf_dir)}".encode()
-    ).hexdigest()[:16]
-    out_dir = os.path.join("/tmp", "pytorchocr_ivf", tag)
-    path = os.path.join(out_dir, "centroids.parquet")
-    if os.path.exists(os.path.join(out_dir, "_SUCCESS")):
-        return path
-    _ids, x = _load_train_sample(sf_dir, sample_n, sample_mode)
-    n_centroids = min(n_centroids, len(x))
-    cent = x[:n_centroids].astype(np.float64)  # first-k init, deterministic
-    for _ in range(iters):
-        # assignment ties -> lowest cid (argmax returns the first max),
-        # matching the SQL ORDER BY cos DESC, cid ASC
-        assign = _qcos(x, cent).argmax(axis=1)
-        for c in range(n_centroids):
-            members = x[assign == c]
-            if len(members):
-                # integer-quantized update: the stored centroid is exactly
-                # what the SQL twin reads back.  Guard: a
-                # floored mean that cancels to the zero vector would make
-                # _qcos emit NaN (0/0) and silently diverge from the SQL
-                # twin's NULL ordering — keep the previous centroid.
-                upd = np.floor(members.mean(axis=0) + 0.5)
-                if np.any(upd):
-                    cent[c] = upd
-    os.makedirs(out_dir, exist_ok=True)
-    t = pa.table(
-        {
-            "cid": pa.array(np.arange(n_centroids, dtype=np.int64)),
-            "qd": pa.array(
-                [row.astype(np.int64) for row in cent], pa.list_(pa.int64())
-            ),
-        }
-    )
-    tmp = path + ".tmp"
-    pq.write_table(t, tmp)
-    os.replace(tmp, path)
-    with open(os.path.join(out_dir, "_SUCCESS"), "w"):
-        pass
-    return path
+    return _trained("centroids", sf_dir, (n_centroids, sample_n, iters), build)
 
 
 def _load_centroids(path: str) -> np.ndarray:
@@ -499,27 +467,14 @@ def _kmeans_codebooks(x: np.ndarray, m: int, k: int, iters: int):
     return subs, codes, vecs
 
 
-def _write_codebooks(subs, codes, vecs, out_dir: str) -> str:
-    import os
-
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    path = os.path.join(out_dir, "codebooks.parquet")
-    os.makedirs(out_dir, exist_ok=True)
-    t = pa.table(
+def _codebooks_table(subs, codes, vecs) -> pa.Table:
+    return pa.table(
         {
             "sub": pa.array(subs, pa.int64()),
             "code": pa.array(codes, pa.int64()),
             "qd": pa.array([v for v in vecs], pa.list_(pa.int64())),
         }
     )
-    tmp = path + ".tmp"
-    pq.write_table(t, tmp)
-    os.replace(tmp, path)
-    with open(os.path.join(out_dir, "_SUCCESS"), "w"):
-        pass
-    return path
 
 
 def train_pq_codebooks(
@@ -528,28 +483,16 @@ def train_pq_codebooks(
     k: int = PQ_K,
     sample_n: int = PQ_SAMPLE,
     iters: int = IVF_ITERS,
-    sample_mode: str = "strided",
 ) -> str:
     """Per-subspace deterministic k-means -> codebook parquet path
     (``sub``, ``code``, ``qd list<int64>``); cached like the IVF
-    centroids (params + module source + corpus content signature,
-    crash-safe marker); trains on the strided corpus-wide sample."""
-    import hashlib
-    import os
+    centroids; trains on the strided corpus-wide sample."""
 
-    src = hashlib.sha256(
-        open(os.path.abspath(__file__), "rb").read()
-    ).hexdigest()[:12]
-    tag = hashlib.sha256(
-        f"pq|{os.path.abspath(sf_dir)}|{m}|{k}|{sample_n}|{iters}|{src}"
-        f"|{sample_mode}|{_content_sig(sf_dir)}".encode()
-    ).hexdigest()[:16]
-    out_dir = os.path.join("/tmp", "pytorchocr_pq", tag)
-    path = os.path.join(out_dir, "codebooks.parquet")
-    if os.path.exists(os.path.join(out_dir, "_SUCCESS")):
-        return path
-    _ids, x = _load_train_sample(sf_dir, sample_n, sample_mode)
-    return _write_codebooks(*_kmeans_codebooks(x, m, k, iters), out_dir)
+    def build() -> pa.Table:
+        _ids, x = _load_train_sample(sf_dir, sample_n)
+        return _codebooks_table(*_kmeans_codebooks(x, m, k, iters))
+
+    return _trained("codebooks", sf_dir, (m, k, sample_n, iters), build)
 
 
 def train_residual_codebooks(
@@ -559,7 +502,6 @@ def train_residual_codebooks(
     k: int = PQ_K,
     sample_n: int = PQ_SAMPLE,
     iters: int = IVF_ITERS,
-    sample_mode: str = "strided",
 ) -> str:
     """Residual PQ codebooks for IVFADC (FAISS ``by_residual=true``): the per-subspace k-means trains on
     (vector − assigned IVF centroid) residuals instead of raw vectors.
@@ -569,28 +511,17 @@ def train_residual_codebooks(
     compression.  Residuals of exact ints are exact ints, so the whole
     fixture stays value-exactly SQL-twinnable (the twin expands every
     residual distance into dot products of the original lists)."""
-    import hashlib
-    import os
 
-    cent = _load_centroids(
-        train_ivf_centroids(sf_dir, n_centroids, sample_mode=sample_mode)
-    )
-    src = hashlib.sha256(
-        open(os.path.abspath(__file__), "rb").read()
-    ).hexdigest()[:12]
-    tag = hashlib.sha256(
-        f"pqr|{os.path.abspath(sf_dir)}|{n_centroids}|{m}|{k}|{sample_n}"
-        f"|{iters}|{src}|{sample_mode}|{_content_sig(sf_dir)}".encode()
-    ).hexdigest()[:16]
-    out_dir = os.path.join("/tmp", "pytorchocr_pqr", tag)
-    path = os.path.join(out_dir, "codebooks.parquet")
-    if os.path.exists(os.path.join(out_dir, "_SUCCESS")):
-        return path
-    _ids, x = _load_train_sample(sf_dir, sample_n, sample_mode)
-    # same assignment rule as search time: first max = lowest cid
-    assign = _qcos(x, cent).argmax(axis=1)
-    resid = x - cent[assign]
-    return _write_codebooks(*_kmeans_codebooks(resid, m, k, iters), out_dir)
+    def build() -> pa.Table:
+        cent = _load_centroids(train_ivf_centroids(sf_dir, n_centroids))
+        _ids, x = _load_train_sample(sf_dir, sample_n)
+        # same assignment rule as search time: first max = lowest cid
+        assign = _qcos(x, cent).argmax(axis=1)
+        resid = x - cent[assign]
+        return _codebooks_table(*_kmeans_codebooks(resid, m, k, iters))
+
+    params = (n_centroids, m, k, sample_n, iters)
+    return _trained("residual_codebooks", sf_dir, params, build)
 
 
 def _load_codebooks(path: str, m: int, k: int) -> np.ndarray:

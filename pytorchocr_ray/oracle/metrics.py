@@ -17,8 +17,6 @@ DetMetric.combine_results pytocr/metrics/det_metric.py:41-55.
 
 from __future__ import annotations
 
-import os
-
 import pyarrow as pa
 import pyarrow.parquet as pq
 
@@ -30,14 +28,15 @@ from ..state.weights import build_weights
 METRIC_COLS = ["precision", "recall", "hmean", "acc", "norm_edit_sim"]
 
 
+def _media_paths(corpus_dir: str, sharded: bool) -> tuple[str, str]:
+    """The corpus media and GT: shard dirs, or single files."""
+    suffix = "" if sharded else ".parquet"
+    return f"{corpus_dir}/media{suffix}", f"{corpus_dir}/media_gt{suffix}"
+
+
 def oracle_evaluate(corpus_dir: str, sharded: bool = False) -> dict[str, float]:
     """Serial det P/R/hmean + rec accuracy over the corpus media vs GT."""
-    gt_path = (
-        f"{corpus_dir}/media_gt" if sharded else f"{corpus_dir}/media_gt.parquet"
-    )
-    media_path = (
-        f"{corpus_dir}/media" if sharded else f"{corpus_dir}/media.parquet"
-    )
+    media_path, gt_path = _media_paths(corpus_dir, sharded)
     gt_t = pq.read_table(gt_path)
     gt = dict(zip(gt_t["media_ref"].to_pylist(), gt_t["regions"].to_pylist()))
     engine = OcrEngine(build_weights())
@@ -55,37 +54,20 @@ def oracle_evaluate(corpus_dir: str, sharded: bool = False) -> dict[str, float]:
     return combine_counter_sums(sums)
 
 
-def _metrics_version() -> str:
-    """Cache token over every source the metric values depend on — engine
-    model/postprocess changes must invalidate cached expected metrics."""
-    import hashlib
-    import sys
-
-    from ..functions import ctc, dbpost, geometry, metrics, models, ocr, png
-    from ..ops import evaluate
-    from ..state import weights
-
-    h = hashlib.sha256()
-    for mod in (
-        sys.modules[__name__], evaluate, metrics, ocr, models, dbpost,
-        geometry, ctc, png, weights,
-    ):
-        with open(mod.__file__, "rb") as f:
-            h.update(f.read())
-    return h.hexdigest()[:10]
-
-
 def expected_metrics_parquet(corpus_dir: str, sharded: bool = False) -> str:
     """Compute (or reuse cached) expected metrics for the corpus and return
-    the 1-row parquet path for the driver's DuckDB oracle to read."""
-    path = os.path.join(
-        corpus_dir, f"expected_metrics_{_metrics_version()}.parquet"
-    )
-    if os.path.exists(path):
-        return path
-    m = oracle_evaluate(corpus_dir, sharded=sharded)
-    t = pa.table({c: pa.array([m[c]], pa.float64()) for c in METRIC_COLS})
-    tmp = path + ".tmp"
-    pq.write_table(t, tmp)
-    os.replace(tmp, path)
-    return path
+    the 1-row parquet path for the driver's DuckDB oracle to read.  Cached
+    by :func:`~..state.cache.cached_parquet` on every source the metric
+    values depend on (engine model / postprocess changes must bust it) and
+    the corpus media and GT files' size and mtime."""
+    from ..functions import ctc, dbpost, geometry, metrics, models, ocr, png
+    from ..ops import evaluate
+    from ..state import cache, weights
+
+    def make_table() -> pa.Table:
+        m = oracle_evaluate(corpus_dir, sharded=sharded)
+        return pa.table({c: pa.array([m[c]], pa.float64()) for c in METRIC_COLS})
+
+    sources = (__file__, evaluate, metrics, ocr, models, dbpost, geometry, ctc, png, weights)
+    inputs = cache.stat_sig(*_media_paths(corpus_dir, sharded))
+    return cache.cached_parquet("metrics", make_table, sharded, sources, inputs)

@@ -37,13 +37,8 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..functions.ocr import OcrConfig
+from ..stages.spans import stable_bucket
 from .extract import extract_dataset
-
-
-def stable_bucket(ids: np.ndarray, n_buckets: int) -> np.ndarray:
-    return (pd.util.hash_array(ids.astype(object)) % np.uint64(n_buckets)).astype(
-        np.int64
-    )
 
 
 def stable_subpart(ids: np.ndarray, n_buckets: int, n_subs) -> np.ndarray:

@@ -57,15 +57,22 @@ def normalize_text_spans(batch: pa.Table) -> pa.Table:
     return batch.set_column(batch.schema.get_field_index("text"), "text", text)
 
 
-def add_bucket(batch: pa.Table, n_buckets: int, col: str = "doc_id") -> pa.Table:
-    """Append the explicit hash-partition column ``bucket = H(doc_id) % B``.
-
-    Uses pandas' stable 64-bit string hash (deterministic across processes,
-    unlike Python's salted ``hash``) — the materialized partitioning key the
-    north rule requires.
-    """
+def stable_bucket(ids: np.ndarray, n_buckets: int) -> np.ndarray:
+    """``H(id) % n_buckets`` with pandas' stable 64-bit hash (deterministic
+    across processes, unlike Python's salted ``hash``)."""
     import pandas as pd
 
+    return (pd.util.hash_array(ids.astype(object)) % np.uint64(n_buckets)).astype(
+        np.int64
+    )
+
+
+def add_bucket(batch: pa.Table, n_buckets: int, col: str = "doc_id") -> pa.Table:
+    """Append the explicit hash-partition column ``bucket`` =
+    :func:`stable_bucket` of ``col`` — the materialized partitioning key
+    the north rule requires.
+    """
     ids = batch[col].to_pandas().to_numpy(dtype=object)
-    h = pd.util.hash_array(ids) % np.uint64(n_buckets)
-    return batch.append_column("bucket", pa.array(h.astype(np.int32)))
+    return batch.append_column(
+        "bucket", pa.array(stable_bucket(ids, n_buckets).astype(np.int32))
+    )

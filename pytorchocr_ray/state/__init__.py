@@ -1,1 +1,2 @@
-"""Deterministic model-weight artifacts + broadcast helpers."""
+"""Deterministic model-weight artifacts + broadcast helpers, and the
+crash-safe fixture cache (:mod:`.cache`)."""

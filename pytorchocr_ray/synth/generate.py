@@ -34,6 +34,7 @@ import pyarrow.parquet as pq
 
 from .. import schemas
 from ..functions.charset import CHARSET, GLYPH_H, GLYPH_W, build_glyphs
+from ..state import cache
 
 _GAP = 4  # inter-glyph gap px (detector smoothing must bridge it)
 _PAD = 4  # ink-to-box pad px
@@ -294,31 +295,18 @@ def generate_docs(
     return documents, media, media_gt, expected
 
 
-def corpus_version() -> str:
-    """Content token for the /tmp corpus cache: a hash of every source file
-    the generated bytes/GT depend on, so changing the generator, glyph bank,
-    normalizer, or PNG codec invalidates cached corpora instead of silently
-    reusing stale ones."""
-    import hashlib
-    import sys
+def _sources() -> tuple:
+    """Every source the generated bytes / GT depend on: a change to the
+    generator, glyph bank, normalizer or PNG codec busts cached corpora."""
+    from ..functions import charset, png, text_norm
 
-    from .. import schemas as _schemas
-    from ..functions import charset as _charset
-    from ..functions import png as _png
-    from ..functions import text_norm as _tn
-
-    h = hashlib.sha256()
-    for mod in (sys.modules[__name__], _schemas, _charset, _png, _tn):
-        with open(mod.__file__, "rb") as f:
-            h.update(f.read())
-    return h.hexdigest()[:10]
+    return (__file__, schemas, charset, png, text_norm)
 
 
 def corpus_path(n_docs: int, seed: int = 42) -> str:
-    """Canonical cached-corpus location, keyed by size, seed AND content
-    version (ADVICE r1: a (n, seed)-only key reused stale corpora across
-    generator changes)."""
-    return f"/tmp/pytorchocr_ray_corpus/n{n_docs}_s{seed}_v{corpus_version()}"
+    """Canonical cached-corpus location: a fresh dir per size, seed and
+    source version."""
+    return os.path.join(cache.ROOT, "corpus", cache.key((n_docs, seed), _sources()))
 
 
 def generate_corpus(out_dir: str, n_docs: int, seed: int = 42) -> str:
@@ -335,35 +323,35 @@ def generate_corpus(out_dir: str, n_docs: int, seed: int = 42) -> str:
 def generate_corpus_ray(
     out_dir: str, n_docs: int, seed: int = 42, shard_size: int = 250
 ) -> str:
-    """Parallel corpus generation via Ray tasks, cached by (n_docs, seed).
+    """Parallel corpus generation via Ray tasks -> ``out_dir``.
 
     Writes one parquet file per shard of documents under
-    ``out_dir/documents/`` etc., plus a _SUCCESS marker used as the cache key.
+    ``out_dir/documents/`` etc.  Published once by
+    :func:`~..state.cache.publish`: its marker is keyed on every build
+    parameter and the sources, and a dir holding another build raises.
     """
     import ray
 
-    marker = os.path.join(out_dir, f"_SUCCESS_{n_docs}_{seed}")
-    if os.path.exists(marker):
-        return out_dir
-    for sub in ("documents", "media", "media_gt", "expected"):
-        os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
+    def build(d: str) -> None:
+        for sub in ("documents", "media", "media_gt", "expected"):
+            os.makedirs(os.path.join(d, sub))
 
-    def _write(lo: int, hi: int) -> None:
-        docs, media, gt, expected = generate_docs(np.arange(lo, hi), seed)
-        pq.write_table(docs, os.path.join(out_dir, "documents", f"part-{lo:08d}.parquet"))
-        pq.write_table(media, os.path.join(out_dir, "media", f"part-{lo:08d}.parquet"))
-        pq.write_table(gt, os.path.join(out_dir, "media_gt", f"part-{lo:08d}.parquet"))
-        pq.write_table(expected, os.path.join(out_dir, "expected", f"part-{lo:08d}.parquet"))
+        def _write(lo: int, hi: int) -> None:
+            docs, media, gt, expected = generate_docs(np.arange(lo, hi), seed)
+            pq.write_table(docs, os.path.join(d, "documents", f"part-{lo:08d}.parquet"))
+            pq.write_table(media, os.path.join(d, "media", f"part-{lo:08d}.parquet"))
+            pq.write_table(gt, os.path.join(d, "media_gt", f"part-{lo:08d}.parquet"))
+            pq.write_table(expected, os.path.join(d, "expected", f"part-{lo:08d}.parquet"))
 
-    spans = [(lo, min(lo + shard_size, n_docs)) for lo in range(0, n_docs, shard_size)]
-    if ray.is_initialized():
-        shard_task = ray.remote(_write)
-        ray.get([shard_task.remote(lo, hi) for lo, hi in spans])
-    else:
-        # serial fallback (same sharded layout) so oracle-side callers can
-        # materialize the corpus without owning a Ray session
-        for lo, hi in spans:
-            _write(lo, hi)
-    with open(marker, "w") as f:
-        f.write("ok")
-    return out_dir
+        spans = [(lo, min(lo + shard_size, n_docs)) for lo in range(0, n_docs, shard_size)]
+        if ray.is_initialized():
+            shard_task = ray.remote(_write)
+            ray.get([shard_task.remote(lo, hi) for lo, hi in spans])
+        else:
+            # serial fallback (same sharded layout) so oracle-side callers can
+            # materialize the corpus without owning a Ray session
+            for lo, hi in spans:
+                _write(lo, hi)
+
+    stamp = cache.key((n_docs, seed, shard_size), _sources())
+    return cache.publish(out_dir, build, stamp)

@@ -16,6 +16,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from ..state import cache
+
 AUDIO_SCHEMA = pa.schema(
     [
         ("sample_ref", pa.string()),
@@ -91,37 +93,25 @@ def synth_video_table(n_rows: int, seed: int = 42) -> pa.Table:
     )
 
 
-def _versioned_path(kind: str, n: int, seed: int) -> str:
-    import hashlib
-    import sys
-
+def _sources() -> tuple:
+    """This module and the stage decoders: the fixtures' cache sources."""
     from ..stages import multimodal as _mm
 
-    h = hashlib.sha256()
-    for mod in (sys.modules[__name__], _mm):
-        with open(mod.__file__, "rb") as f:
-            h.update(f.read())
-    return (
-        f"/tmp/pytorchocr_ray_mm/{kind}_n{n}_s{seed}_v{h.hexdigest()[:10]}.parquet"
-    )
+    return (__file__, _mm)
 
 
 def synth_audio_parquet(n_rows: int, seed: int = 42) -> str:
     """Write (cached) the audio synth table; shared input for the Ray query
     and its DuckDB oracle."""
-    path = _versioned_path("audio", n_rows, seed)
-    if not os.path.exists(path):
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        pq.write_table(synth_audio_table(n_rows, seed), path)
-    return path
+    return cache.cached_parquet(
+        "audio", lambda: synth_audio_table(n_rows, seed), (n_rows, seed), _sources()
+    )
 
 
 def synth_video_parquet(n_rows: int, seed: int = 42) -> str:
-    path = _versioned_path("video", n_rows, seed)
-    if not os.path.exists(path):
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        pq.write_table(synth_video_table(n_rows, seed), path)
-    return path
+    return cache.cached_parquet(
+        "video", lambda: synth_video_table(n_rows, seed), (n_rows, seed), _sources()
+    )
 
 
 # --------------------------------------------------------- REAL payloads
@@ -162,17 +152,57 @@ def _y4m_bytes(frames: np.ndarray, fps_num: int = 24) -> bytes:
     return b"".join(parts)
 
 
-def _real_dir(kind: str, n: int, seed: int) -> str:
-    import hashlib
-    import sys
+def _audio_fixture(
+    kind: str, prefix: str, n_rows: int, seed: int, window: int, hop: int, make_row
+) -> str:
+    """Cached dir with payload.parquet (WAV rows: sample_ref, data,
+    sample_rate, n_samples) + expected.parquet (sample_ref, window_idx,
+    energy, zcr).  ``make_row(i)`` -> (wav bytes, rate, n_samples, the
+    samples the payload decodes to); the expected features are a plain
+    per-window loop over those samples."""
 
-    from ..stages import multimodal as _mm
+    def build(d: str) -> None:
+        refs, datas, rates, lens = [], [], [], []
+        e_ref, e_idx, e_en, e_zc = [], [], [], []
+        for i in range(n_rows):
+            data, rate, n, samples = make_row(i)
+            refs.append(f"{prefix}-{i:06d}")
+            datas.append(data)
+            rates.append(rate)
+            lens.append(n)
+            k = 0
+            while k * hop + window <= n:
+                win = samples[k * hop : k * hop + window]
+                e_ref.append(f"{prefix}-{i:06d}")
+                e_idx.append(k)
+                e_en.append(int((win * win).sum()) / float(1 << 30))
+                neg = win < 0
+                e_zc.append(int((neg[1:] != neg[:-1]).sum()) / window)
+                k += 1
+        pq.write_table(
+            pa.table(
+                {
+                    "sample_ref": pa.array(refs, pa.string()),
+                    "data": pa.array(datas, pa.binary()),
+                    "sample_rate": pa.array(rates, pa.int32()),
+                    "n_samples": pa.array(lens, pa.int32()),
+                }
+            ),
+            os.path.join(d, "payload.parquet"),
+        )
+        pq.write_table(
+            pa.table(
+                {
+                    "sample_ref": pa.array(e_ref, pa.string()),
+                    "window_idx": pa.array(e_idx, pa.int32()),
+                    "energy": pa.array(e_en, pa.float64()),
+                    "zcr": pa.array(e_zc, pa.float64()),
+                }
+            ),
+            os.path.join(d, "expected.parquet"),
+        )
 
-    h = hashlib.sha256()
-    for mod in (sys.modules[__name__], _mm):
-        with open(mod.__file__, "rb") as f:
-            h.update(f.read())
-    return f"/tmp/pytorchocr_ray_mm/{kind}_n{n}_s{seed}_v{h.hexdigest()[:10]}"
+    return cache.cached(kind, build, (n_rows, seed, window, hop), _sources())
 
 
 def synth_real_audio_parquet(
@@ -180,55 +210,14 @@ def synth_real_audio_parquet(
 ) -> str:
     """Dir with payload.parquet (real WAV rows, AUDIO_SCHEMA minus seed)
     + expected.parquet (sample_ref, window_idx, energy, zcr)."""
-    d = _real_dir("real_audio", n_rows, seed)
-    if os.path.exists(os.path.join(d, "_SUCCESS")):
-        return d
-    os.makedirs(d, exist_ok=True)
-    refs, datas, rates, lens = [], [], [], []
-    e_ref, e_idx, e_en, e_zc = [], [], [], []
-    for i in range(n_rows):
+
+    def make_row(i: int):
         rng = np.random.default_rng((seed << 18) + i)
         n = int(rng.integers(2048, 8192))
         samples = rng.integers(-32768, 32768, size=n, dtype=np.int64)
-        refs.append(f"wav-{i:06d}")
-        datas.append(_wav_bytes(samples, 16000))
-        rates.append(16000)
-        lens.append(n)
-        # expected features: plain per-window loop over the raw samples
-        k = 0
-        while k * hop + window <= n:
-            win = samples[k * hop : k * hop + window]
-            e_ref.append(f"wav-{i:06d}")
-            e_idx.append(k)
-            e_en.append(int((win * win).sum()) / float(1 << 30))
-            neg = win < 0
-            e_zc.append(int((neg[1:] != neg[:-1]).sum()) / window)
-            k += 1
-    pq.write_table(
-        pa.table(
-            {
-                "sample_ref": pa.array(refs, pa.string()),
-                "data": pa.array(datas, pa.binary()),
-                "sample_rate": pa.array(rates, pa.int32()),
-                "n_samples": pa.array(lens, pa.int32()),
-            }
-        ),
-        os.path.join(d, "payload.parquet"),
-    )
-    pq.write_table(
-        pa.table(
-            {
-                "sample_ref": pa.array(e_ref, pa.string()),
-                "window_idx": pa.array(e_idx, pa.int32()),
-                "energy": pa.array(e_en, pa.float64()),
-                "zcr": pa.array(e_zc, pa.float64()),
-            }
-        ),
-        os.path.join(d, "expected.parquet"),
-    )
-    with open(os.path.join(d, "_SUCCESS"), "w") as f:
-        f.write("ok")
-    return d
+        return _wav_bytes(samples, 16000), 16000, n, samples
+
+    return _audio_fixture("real_audio", "wav", n_rows, seed, window, hop, make_row)
 
 
 def synth_real_video_parquet(
@@ -236,55 +225,52 @@ def synth_real_video_parquet(
 ) -> str:
     """Dir with payload.parquet (real y4m rows) + expected.parquet
     (frame_ref, frame_idx, mean_luma)."""
-    d = _real_dir("real_video", n_rows, seed)
-    if os.path.exists(os.path.join(d, "_SUCCESS")):
-        return d
-    os.makedirs(d, exist_ok=True)
-    w, h = 64, 48
-    refs, datas, ws, hs, nf, fps = [], [], [], [], [], []
-    e_ref, e_idx, e_lu = [], [], []
-    for i in range(n_rows):
-        rng = np.random.default_rng((seed << 19) + i)
-        n = int(rng.integers(10, 40))
-        frames = rng.integers(0, 256, size=(n, h, w), dtype=np.int64).astype(
-            np.uint8
+
+    def build(d: str) -> None:
+        w, h = 64, 48
+        refs, datas, ws, hs, nf, fps = [], [], [], [], [], []
+        e_ref, e_idx, e_lu = [], [], []
+        for i in range(n_rows):
+            rng = np.random.default_rng((seed << 19) + i)
+            n = int(rng.integers(10, 40))
+            frames = rng.integers(0, 256, size=(n, h, w), dtype=np.int64).astype(
+                np.uint8
+            )
+            refs.append(f"y4m-{i:06d}")
+            datas.append(_y4m_bytes(frames))
+            ws.append(w)
+            hs.append(h)
+            nf.append(n)
+            fps.append(24.0)
+            for k in range(0, n, every_k):
+                e_ref.append(f"y4m-{i:06d}")
+                e_idx.append(k)
+                e_lu.append(int(frames[k].astype(np.int64).sum()) / float(h * w))
+        pq.write_table(
+            pa.table(
+                {
+                    "frame_ref": pa.array(refs, pa.string()),
+                    "data": pa.array(datas, pa.binary()),
+                    "width": pa.array(ws, pa.int32()),
+                    "height": pa.array(hs, pa.int32()),
+                    "n_frames": pa.array(nf, pa.int32()),
+                    "fps": pa.array(fps, pa.float32()),
+                }
+            ),
+            os.path.join(d, "payload.parquet"),
         )
-        refs.append(f"y4m-{i:06d}")
-        datas.append(_y4m_bytes(frames))
-        ws.append(w)
-        hs.append(h)
-        nf.append(n)
-        fps.append(24.0)
-        for k in range(0, n, every_k):
-            e_ref.append(f"y4m-{i:06d}")
-            e_idx.append(k)
-            e_lu.append(int(frames[k].astype(np.int64).sum()) / float(h * w))
-    pq.write_table(
-        pa.table(
-            {
-                "frame_ref": pa.array(refs, pa.string()),
-                "data": pa.array(datas, pa.binary()),
-                "width": pa.array(ws, pa.int32()),
-                "height": pa.array(hs, pa.int32()),
-                "n_frames": pa.array(nf, pa.int32()),
-                "fps": pa.array(fps, pa.float32()),
-            }
-        ),
-        os.path.join(d, "payload.parquet"),
-    )
-    pq.write_table(
-        pa.table(
-            {
-                "frame_ref": pa.array(e_ref, pa.string()),
-                "frame_idx": pa.array(e_idx, pa.int32()),
-                "mean_luma": pa.array(e_lu, pa.float64()),
-            }
-        ),
-        os.path.join(d, "expected.parquet"),
-    )
-    with open(os.path.join(d, "_SUCCESS"), "w") as f:
-        f.write("ok")
-    return d
+        pq.write_table(
+            pa.table(
+                {
+                    "frame_ref": pa.array(e_ref, pa.string()),
+                    "frame_idx": pa.array(e_idx, pa.int32()),
+                    "mean_luma": pa.array(e_lu, pa.float64()),
+                }
+            ),
+            os.path.join(d, "expected.parquet"),
+        )
+
+    return cache.cached("real_video", build, (n_rows, seed, every_k), _sources())
 
 
 # ---------------------------------------------------- IMA-ADPCM payloads
@@ -418,15 +404,9 @@ def synth_adpcm_audio_parquet(
     samples.  Smooth random-walk signals (ADPCM's design regime) rather
     than white noise, so the codec is exercised over its whole step
     table instead of saturating at the top steps."""
-    d = _real_dir("adpcm_audio", n_rows, seed)
-    if os.path.exists(os.path.join(d, "_SUCCESS")):
-        return d
-    os.makedirs(d, exist_ok=True)
     from ..stages.multimodal import adpcm_wav_decode
 
-    refs, datas, rates, lens = [], [], [], []
-    e_ref, e_idx, e_en, e_zc = [], [], [], []
-    for i in range(n_rows):
+    def make_row(i: int):
         rng = np.random.default_rng((seed << 20) + i)
         n = int(rng.integers(2048, 8192))
         steps = rng.integers(-2048, 2049, size=n, dtype=np.int64)
@@ -438,45 +418,10 @@ def synth_adpcm_audio_parquet(
         assert eng_rate == 16000 and np.array_equal(
             ref_dec, eng_dec.astype(np.int64)
         ), f"ADPCM decoder divergence on row {i}"
-        refs.append(f"adp-{i:06d}")
-        datas.append(data)
-        rates.append(16000)
-        lens.append(n)
         # expected features from the reference-decoded (lossy) samples
-        k = 0
-        while k * hop + window <= n:
-            win = ref_dec[k * hop : k * hop + window]
-            e_ref.append(f"adp-{i:06d}")
-            e_idx.append(k)
-            e_en.append(int((win * win).sum()) / float(1 << 30))
-            neg = win < 0
-            e_zc.append(int((neg[1:] != neg[:-1]).sum()) / window)
-            k += 1
-    pq.write_table(
-        pa.table(
-            {
-                "sample_ref": pa.array(refs, pa.string()),
-                "data": pa.array(datas, pa.binary()),
-                "sample_rate": pa.array(rates, pa.int32()),
-                "n_samples": pa.array(lens, pa.int32()),
-            }
-        ),
-        os.path.join(d, "payload.parquet"),
-    )
-    pq.write_table(
-        pa.table(
-            {
-                "sample_ref": pa.array(e_ref, pa.string()),
-                "window_idx": pa.array(e_idx, pa.int32()),
-                "energy": pa.array(e_en, pa.float64()),
-                "zcr": pa.array(e_zc, pa.float64()),
-            }
-        ),
-        os.path.join(d, "expected.parquet"),
-    )
-    with open(os.path.join(d, "_SUCCESS"), "w") as f:
-        f.write("ok")
-    return d
+        return data, 16000, n, ref_dec
+
+    return _audio_fixture("adpcm_audio", "adp", n_rows, seed, window, hop, make_row)
 
 
 # ------------------------------------------------- G.711 mu-law payloads
@@ -552,15 +497,9 @@ def synth_mulaw_audio_parquet(
     expected.parquet from the REFERENCE-decoded samples.  Mixed-scale
     signals (quiet + loud segments) so the logarithmic segments are all
     exercised."""
-    d = _real_dir("mulaw_audio", n_rows, seed)
-    if os.path.exists(os.path.join(d, "_SUCCESS")):
-        return d
-    os.makedirs(d, exist_ok=True)
     from ..stages.multimodal import mulaw_wav_decode
 
-    refs, datas, rates, lens = [], [], [], []
-    e_ref, e_idx, e_en, e_zc = [], [], [], []
-    for i in range(n_rows):
+    def make_row(i: int):
         rng = np.random.default_rng((seed << 21) + i)
         n = int(rng.integers(2048, 8192))
         # amplitude sweeps across the mu-law segment range
@@ -576,41 +515,6 @@ def synth_mulaw_audio_parquet(
         assert eng_rate == 8000 and np.array_equal(
             ref_dec, eng_dec.astype(np.int64)
         ), f"mu-law decoder divergence on row {i}"
-        refs.append(f"ulaw-{i:06d}")
-        datas.append(data)
-        rates.append(8000)
-        lens.append(n)
-        k = 0
-        while k * hop + window <= n:
-            win = ref_dec[k * hop : k * hop + window]
-            e_ref.append(f"ulaw-{i:06d}")
-            e_idx.append(k)
-            e_en.append(int((win * win).sum()) / float(1 << 30))
-            neg = win < 0
-            e_zc.append(int((neg[1:] != neg[:-1]).sum()) / window)
-            k += 1
-    pq.write_table(
-        pa.table(
-            {
-                "sample_ref": pa.array(refs, pa.string()),
-                "data": pa.array(datas, pa.binary()),
-                "sample_rate": pa.array(rates, pa.int32()),
-                "n_samples": pa.array(lens, pa.int32()),
-            }
-        ),
-        os.path.join(d, "payload.parquet"),
-    )
-    pq.write_table(
-        pa.table(
-            {
-                "sample_ref": pa.array(e_ref, pa.string()),
-                "window_idx": pa.array(e_idx, pa.int32()),
-                "energy": pa.array(e_en, pa.float64()),
-                "zcr": pa.array(e_zc, pa.float64()),
-            }
-        ),
-        os.path.join(d, "expected.parquet"),
-    )
-    with open(os.path.join(d, "_SUCCESS"), "w") as f:
-        f.write("ok")
-    return d
+        return data, 8000, n, ref_dec
+
+    return _audio_fixture("mulaw_audio", "ulaw", n_rows, seed, window, hop, make_row)

@@ -22,6 +22,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from ..state import cache
+
 
 def _sample(
     rng: np.random.Generator,
@@ -81,18 +83,20 @@ def render_table_png(rects: list[list[int]], src_h: int, src_w: int) -> bytes:
 
 
 def synth_pubtab(out_dir: str, n: int, seed: int = 21) -> str:
-    """Write ``table_labels.jsonl`` + ``expected.parquet``; cached by a
-    _SUCCESS marker (path should embed a content version, see caller)."""
+    """Write ``table_labels.jsonl`` + ``expected.parquet`` (and the image
+    branch's tables) into ``out_dir``; published once by
+    :func:`~..state.cache.publish`, its marker keyed on ``(n, seed)`` and
+    the sources (see :func:`pubtab_path`)."""
+    return cache.publish(out_dir, lambda d: _write_pubtab(d, n, seed), _key(n, seed))
+
+
+def _write_pubtab(out_dir: str, n: int, seed: int) -> None:
     from ..functions.table import (
         TableLabelDecode,
         resize_table_shape,
         table_bbox_encode,
     )
 
-    marker = os.path.join(out_dir, f"_SUCCESS_{n}_{seed}")
-    if os.path.exists(marker):
-        return out_dir
-    os.makedirs(out_dir, exist_ok=True)
     dec = TableLabelDecode()
     names, structs, ncells, bsums = [], [], [], []
     img_bytes, img_h, img_w, img_bsums = [], [], [], []
@@ -180,20 +184,14 @@ def synth_pubtab(out_dir: str, n: int, seed: int = 21) -> str:
         ),
         os.path.join(out_dir, "expected.parquet"),
     )
-    with open(marker, "w") as f:
-        f.write("ok")
-    return out_dir
+
+
+def _key(n: int, seed: int) -> str:
+    from ..functions import table as _table
+
+    return cache.key((n, seed), (__file__, _table))
 
 
 def pubtab_path(n: int, seed: int = 21) -> str:
-    """Versioned cache path (hash of this module + functions/table.py)."""
-    import hashlib
-    import sys
-
-    from ..functions import table as _table
-
-    h = hashlib.sha256()
-    for mod in (sys.modules[__name__], _table):
-        with open(mod.__file__, "rb") as f:
-            h.update(f.read())
-    return f"/tmp/pytorchocr_ray_pubtab/n{n}_s{seed}_v{h.hexdigest()[:10]}"
+    """Canonical cache dir: fresh per ``(n, seed)`` and sources."""
+    return os.path.join(cache.ROOT, "pubtab", _key(n, seed))

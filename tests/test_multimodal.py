@@ -440,3 +440,32 @@ def test_mulaw_real_audio_decode_routing(ray_session):
     assert got["sample_ref"].tolist() == want["sample_ref"].tolist()
     assert np.allclose(got["energy"], want["energy"], rtol=0, atol=0)
     assert np.allclose(got["zcr"], want["zcr"], rtol=0, atol=0)
+
+
+def test_killed_fixture_write_publishes_nothing(monkeypatch):
+    """A parquet write that dies midway leaves no artifact behind, so the
+    next call rebuilds a readable table instead of returning the
+    truncated file forever."""
+    import io
+    import uuid
+
+    import pyarrow.parquet as pq
+
+    from pytorchocr_ray.synth.multimodal import synth_audio_parquet, synth_audio_table
+
+    seed = uuid.uuid4().int % (1 << 30)  # a key no earlier run has built
+    write_table = pq.write_table
+
+    def killed_write(table, where, **kw):
+        buf = io.BytesIO()
+        write_table(table, buf, **kw)
+        with open(where, "wb") as f:
+            f.write(buf.getvalue()[: buf.tell() // 2])
+        raise OSError(28, "No space left on device")
+
+    with monkeypatch.context() as m:
+        m.setattr(pq, "write_table", killed_write)
+        with pytest.raises(OSError, match="No space left"):
+            synth_audio_parquet(5, seed=seed)
+    path = synth_audio_parquet(5, seed=seed)
+    assert pq.read_table(path).equals(synth_audio_table(5, seed))

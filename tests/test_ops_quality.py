@@ -414,13 +414,13 @@ def test_train_sample_spans_corpus(ray_session):
     head sample always contains every query direction and head-training
     is self-serving on any such fixture.  What IS the mechanism — and
     what this pins — is coverage: each quarter of the id space must
-    contribute ~sample_n/4 rows in strided mode, while head mode (kept
-    only as the strawman for this test) sees quarter 1 exclusively."""
-    from pytorchocr_ray.ops.simsearch import _load_train_sample
+    contribute ~sample_n/4 rows of the strided sample, while the head
+    sample (``_load_quantized``, the strawman) sees quarter 1 exclusively."""
+    from pytorchocr_ray.ops.simsearch import _load_quantized, _load_train_sample
 
     sf = "/root/testdata/sf0.01"
-    ids_s, x_s = _load_train_sample(sf, 128, "strided")
-    ids_h, _ = _load_train_sample(sf, 128, "head")
+    ids_s, x_s = _load_train_sample(sf, 128)
+    ids_h, _ = _load_quantized(sf, 128)
     n = 500  # embeddings rows at sf0.01
     assert ids_h.max() < 128  # the strawman really is head-only
     assert ids_s.max() >= 0.9 * n
@@ -428,7 +428,7 @@ def test_train_sample_spans_corpus(ray_session):
     per_quarter = np.diff(np.concatenate([[0], q, [len(ids_s)]]))
     assert per_quarter.min() >= 0.15 * len(ids_s), per_quarter
     # deterministic: same call -> identical sample
-    ids_s2, x_s2 = _load_train_sample(sf, 128, "strided")
+    ids_s2, x_s2 = _load_train_sample(sf, 128)
     assert np.array_equal(ids_s, ids_s2) and np.array_equal(x_s, x_s2)
 
 
