@@ -234,7 +234,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # rate, deterministic LCG keep decision, shuffle-free two-pass
         "lang_rebalance": curation.lang_rebalance,
         # SemDeDup semantic near-dup: broadcast k-means assignment
-        # + one cid-keyed groupby for in-cluster cosine flags
+        # + one co-partition on cid for in-cluster cosine flags
         "semdedup": curation.semdedup,
         # passage-level exact dedup (Lee et al. ExactSubstr approx):
         # fixed 10-token windows, dup occurrences removed corpus-wide;
@@ -310,9 +310,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # JL sign projection of the embedding column: matrix-free
         # (LCG-parity entries regenerated per batch), exact-int outputs
         "random_projection": simsearch.random_projection,
-        # image perceptual-hash dedup: actor-pool PNG decode + dHash
-        # over the sharded media table, one 8-byte-key groupby; oracle =
-        # independent integral-image hasher (fixture parquet)
+        # image perceptual-hash dedup: fused task PNG decode + dHash over
+        # the sharded media table, one co-partition on the 8-byte hash;
+        # oracle = independent integral-image hasher (fixture parquet)
         "image_dhash_dups": lambda sf: imagededup.image_dhash_dups(
             os.path.join(_corpus_for(sf), "media")
         ),

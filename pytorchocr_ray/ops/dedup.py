@@ -101,8 +101,8 @@ def minhash_perm_params(num_perm: int = 64, seed: int = MINHASH_SEED):
 
 class MinHasher:
     """Stateful map_batches callable: seeded permutation params built once
-    per actor.  Emits per doc: the signature, the band keys, and the
-    distinct shingle-hash set (for the co-partitioned verify join).
+    per worker process.  Emits per doc: the signature, the band keys, and
+    the distinct shingle-hash set (for the co-partitioned verify join).
     Docs with zero shingles (tokenless) are dropped — they cannot be
     near-duplicates and have no well-defined signature."""
 
@@ -190,8 +190,8 @@ def minhash_pairs(
     """
     # materialize(): the signature table is consumed by BOTH the banding
     # branch and the verify exchanges; without it the lazy DAG re-executes
-    # the full MinHasher pass per consumer, and two simultaneous full-size
-    # actor pools starve the exchanges of CPUs (observed deadlock).
+    # the full MinHasher pass per consumer, each one a full-size hashing
+    # pass competing with the exchanges for CPUs.
     # The table is sketches only (sig + band keys + hashed shingle set —
     # ~1% of the text bytes), the standard LSH intermediate to pin.
     sig_ds = minhash_signatures(sf_dir, num_perm, ngram).materialize()

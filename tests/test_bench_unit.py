@@ -1,10 +1,12 @@
-"""Unit tests for bench.py's measurement helpers (no Ray, no timing).
+"""Unit tests for bench.py (no Ray, no timing).
 
-bench.py is the driver-visible measurement surface; these pin the two
-pure pieces a broken edit would silently corrupt: the /proc/stat steal
-reader and the BASELINE.md measured-block replacement (which must
-preserve appended "### " measurement-notes sections)."""
+bench.py is the driver-visible measurement surface; these pin the pieces a
+broken edit would silently corrupt: the steal reader it times with, the
+BASELINE.md measured-block replacement (which must preserve appended "### "
+measurement-notes sections), and that its query sweep is the registry's,
+not a second list."""
 
+import ast
 import importlib.util
 import os
 
@@ -17,11 +19,28 @@ _spec.loader.exec_module(bench)
 
 
 def test_proc_stat_shape():
-    steal, total = bench._proc_stat()
-    assert isinstance(steal, int) and isinstance(total, int)
-    # on this Linux box the cpu line must parse; steal is a component
-    assert total > 0
-    assert 0 <= steal <= total
+    from perfbench.host import read_cpu_times
+
+    cpu = read_cpu_times()
+    # the aggregate cpu line must parse; steal is a component of the total
+    assert cpu.total > 0
+    assert 0 <= cpu.steal <= cpu.total
+
+
+def test_sweep_is_the_registry():
+    """bench.py times every registered query but the extraction the
+    headline already times, and keeps no query list of its own."""
+    import __ray_entry__
+
+    assert set(bench.timed_queries()) == set(__ray_entry__.queries()) - {"extract_interleaved"}
+    tree = ast.parse(open(bench.__file__).read())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [f"{node.module}.{a.name}" for a in node.names]
+    assert not [m for m in imported if m.startswith("pytorchocr_ray.ops")], imported
 
 
 def _fake(res_extra=None):
