@@ -16,7 +16,8 @@ pairs; only the first pair times the queries (the others set
 BENCH_EXTRACT_ONLY=1).  A pair whose steal reaches STEAL_GATE_PCT is
 redrawn up to STEAL_REDRAWS times; every attempt is recorded, and if all
 sat under steal the lowest-steal one counts, flagged.  The run rewrites
-the measured block of BASELINE.md.
+the measured block of BASELINE.md.  On a host with fewer than 32 CPUs it
+refuses before any pass, naming the host's CPU count.
 """
 
 from __future__ import annotations
@@ -141,6 +142,14 @@ def _pick_attempt(attempts: list[dict]) -> dict:
 
 
 def run_scaling() -> dict:
+    lo_cpus, hi_cpus = 8, 32
+    if (os.cpu_count() or 0) < hi_cpus:
+        # below its upper level the efficiency measures oversubscription
+        raise SystemExit(
+            f"bench.py --scaling needs {hi_cpus} CPUs for its upper level; "
+            f"this host has {os.cpu_count()}: no pass run, BASELINE.md unchanged"
+        )
+
     def run_once(ncpu: int, extract_only: bool) -> dict:
         env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu))
         env.pop("BENCH_EXTRACT_ONLY", None)
@@ -154,7 +163,6 @@ def run_scaling() -> dict:
         time.sleep(5)  # let raylet teardown finish before the next session
         return json.loads(out.strip().splitlines()[-1])
 
-    lo_cpus, hi_cpus = 8, 32
     # each pair is (lo, hi) back-to-back in fresh processes so both levels
     # see the same host conditions; only the very first attempt pays the
     # full query sweep (its tables land in BASELINE.md)

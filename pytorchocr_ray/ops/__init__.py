@@ -62,20 +62,19 @@ def read(sf_dir: str, table: str, columns=None):
     return rd.read_parquet(path, columns=columns, **kw)
 
 
-def table_rows(sf_dir: str, table: str):
-    """Row count from parquet FOOTER METADATA (no data read) — None when
-    the table isn't a single local file (sharded dirs: caller falls back
-    to its conservative path).  Used for cheap can-this-exceed-a-cap
-    gates like simhash_pairs' hot-bucket pre-pass."""
+def footer_rows(*paths: str):
+    """Total rows of the parquet files ``paths`` from their FOOTERS (no
+    data read), or None when one is not a local file or has no readable
+    footer (the caller then takes its conservative path): a cheap upper
+    bound for can-this-exceed-a-cap gates."""
     import os
 
-    path = f"{sf_dir}/{table}.parquet"
-    if not os.path.isfile(path):
-        return None
     import pyarrow.parquet as pq
 
+    if not all(os.path.isfile(p) for p in paths):
+        return None
     try:
-        return pq.ParquetFile(path).metadata.num_rows
+        return sum(pq.read_metadata(p).num_rows for p in paths)
     except Exception:
         return None
 

@@ -7,8 +7,10 @@ Scale shapes (ray_guide patterns, re-derived for this engine):
     matmul-free universal-hash pass) -> explode to (band, band_hash) rows ->
     co-partition on the band bucket -> candidate pairs -> exact-Jaccard verify ->
     connected components -> representative per cluster.
-  * SimHash: 31-bit signature per doc; near-dup candidates via 4x8-bit
-    band blocking, verified by XOR-popcount Hamming distance.
+  * SimHash: 4 x 31-bit signature words per doc; near-dup candidates via
+    8 bands of 16/15 bits (the shared banded-Hamming kernel,
+    :func:`hamming_buckets`, also behind imagededup.image_dhash_near),
+    verified by XOR-popcount Hamming distance.
   * embedding cosine: random-hyperplane LSH buckets -> in-bucket cosine
     verify (the brute-force twin lives in ops/simsearch.py).
 
@@ -533,6 +535,130 @@ WHERE CAST(inter AS DOUBLE) / uni >= {threshold}
 """
 
 
+# ----------------------------------------------- banded Hamming near-dup
+#
+# One kernel, :func:`hamming_buckets`, serves every Hamming near-dup query
+# over int64 signature words (simhash_pairs here, image_dhash_near in
+# ops/imagededup.py).  A band spec (word, lo, mask, word2, lo2) keys each
+# row by ``(sig[word] >> lo) & mask``; with more bands than max_hamming
+# and disjoint band bits, a pair within the threshold agrees exactly on
+# at least one band (pigeonhole), so banding has full recall there.
+#
+# Hot-bucket split (the one-level case of HERO's hierarchical set
+# splitting, SIGMOD 2024): a (band, key) bucket of more than ``bucket_cap``
+# rows is split by key2 = ``(sig[word2] >> lo2) & 0xFFFF``, 16 bits from
+# another part of the signature, dividing a degenerate pileup up to 65536
+# ways — a 10^9-row worst-case bucket drops to ~15k per sub-bucket,
+# bounding the in-bucket O(pop^2) pair enumeration.  Two honest limits,
+# both by construction: (1) identical signatures share the subkey, so a
+# flood of EXACT duplicates is not split — but those pairs ARE the answer
+# and their quadratic output is the result size, not overhead; (2) a
+# within-threshold pair in a split bucket survives only if it agrees on
+# the subkey bits, so a pair whose differing bits hit the key2 bits of
+# every band it agrees on is lost (bounded, documented recall loss under
+# adversarial skew).  Counting the buckets costs a pass over the input
+# and an exchange, so it runs only when the input can hold more than
+# ``bucket_cap`` rows; the SQL twin (:func:`hamming_buckets_sql`)
+# reproduces the split exactly, so parity holds with the cap ACTIVE
+# (tested at cap=1).
+
+HAMMING_BUCKET = ["band", "key", "key2"]
+HAMMING_SUBKEY_MASK = 0xFFFF
+
+# 16-bit popcount LUT (numpy 1.x has no bitwise_count)
+_POP16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
+
+
+def hamming(sigs: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Hamming distance between rows ``i`` and ``j`` of the int64 word
+    matrix ``sigs`` (rows x words), over all 64 bits of every word (a
+    negative word counts as its two's-complement bits)."""
+    return _POP16[(sigs[i] ^ sigs[j]).view(np.uint16)].sum(axis=1, dtype=np.int64)
+
+
+def hamming_buckets(close, ds, ids, words, bands, bucket_cap: int, n_rows):
+    """Band-explode ``ds`` and close out every (band, key, key2) bucket
+    with ``close``, in one :func:`co_partition`.
+
+    ``ds`` holds the id column ``ids = (name, pa type)`` and the int64
+    signature columns ``words``; ``bands`` lists the specs ``(word, lo,
+    mask, word2, lo2)`` (word indexes into ``words``).  Each row becomes
+    one row per band with ``key = (sig[word] >> lo) & mask`` and ``key2 =
+    (sig[word2] >> lo2) & 0xFFFF`` when its (band, key) bucket holds more
+    than ``bucket_cap`` rows of ``ds``, else 0 (see the note above).  The
+    bucket count runs only when ``n_rows`` (an upper bound on the rows of
+    ``ds``, such as a footer count, or ``None`` when unknown) exceeds
+    ``bucket_cap``.  ``close(rows)`` receives a pandas frame of band, key,
+    key2, the id and the words, holding every row of each of its buckets,
+    and returns a frame."""
+    import logging
+
+    import ray
+
+    id_col, id_type = ids
+    schema = {"band": pa.int64(), "key": pa.int64(), "key2": pa.int64(), id_col: id_type,
+              **{c: pa.int64() for c in words}}
+
+    def sigs_keys(batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:
+        sigs = np.stack([batch[c].to_numpy() for c in words], axis=1)
+        return sigs, np.stack([(sigs[:, w] >> lo) & mask for w, lo, mask, _, _ in bands], axis=1)
+
+    hot: dict[int, np.ndarray] = {}
+    if n_rows is None or n_rows > bucket_cap:
+        # the count and the explode both read ds: compute it once
+        ds = ds.materialize()
+
+        def counts(batch: pa.Table) -> pd.DataFrame:
+            keys = sigs_keys(batch)[1]
+            return pd.DataFrame({"band": np.tile(np.arange(len(bands)), len(keys)),
+                                 "key": keys.reshape(-1)}).groupby(["band", "key"], as_index=False).size()
+
+        def hot_keys(rows: pd.DataFrame) -> pd.DataFrame:
+            g = rows.groupby(["band", "key"], as_index=False, sort=False)["size"].sum()
+            return g[g["size"] > bucket_cap]
+
+        big = co_partition(hot_keys, rows=(
+            ds.map_batches(counts, batch_format="pyarrow"), ["band", "key"],
+            {"band": pa.int64(), "key": pa.int64(), "size": pa.int64()},
+        )).to_pandas()
+        if len(big):  # an exchange with no rows comes back without columns
+            hot = {int(b): np.sort(g["key"].to_numpy(np.int64)) for b, g in big.groupby("band")}
+            logging.getLogger(__name__).info(
+                "splitting %d hot (band, key) buckets of more than %d rows", len(big), bucket_cap)
+    hot_ref = ray.put(hot)
+
+    def explode(batch: pa.Table) -> pa.Table:
+        sigs, keys = sigs_keys(batch)
+        key2 = np.zeros_like(keys)
+        for b, hk in ray.get(hot_ref).items():
+            _, _, _, w2, lo2 = bands[b]
+            m = np.isin(keys[:, b], hk)
+            key2[m, b] = (sigs[m, w2] >> lo2) & HAMMING_SUBKEY_MASK
+        n, nb = keys.shape
+        cols = {"band": np.tile(np.arange(nb), n), "key": keys.reshape(-1), "key2": key2.reshape(-1),
+                id_col: batch[id_col].take(np.repeat(np.arange(n), nb))}
+        return pa.table({**cols, **{c: np.repeat(sigs[:, k], nb) for k, c in enumerate(words)}})
+
+    return co_partition(
+        close, rows=(ds.map_batches(explode, batch_format="pyarrow"), HAMMING_BUCKET, schema))
+
+
+def hamming_buckets_sql(src: str, cols: str, words, bands, bucket_cap: int) -> str:
+    """DuckDB twin of :func:`hamming_buckets`' explode: the CTEs ``b0, b``
+    where ``b`` holds ``cols`` of ``src`` with band, key and key2 (the
+    hot-bucket split by a window count)."""
+    rows = "\n  UNION ALL ".join(
+        f"SELECT {cols}, {b} AS band, ({words[w]} >> {lo}) & {mask} AS key, "
+        f"({words[w2]} >> {lo2}) & {HAMMING_SUBKEY_MASK} AS sub FROM {src}"
+        for b, (w, lo, mask, w2, lo2) in enumerate(bands)
+    )
+    return f"""b0 AS ({rows}),
+b AS (SELECT * EXCLUDE (sub),
+             CASE WHEN count(*) OVER (PARTITION BY band, key) > {bucket_cap}
+                  THEN sub ELSE 0 END AS key2
+      FROM b0)"""
+
+
 # ---------------------------------------------------------------- SimHash
 #
 # The signature is 4 x 31 = 124 bits — four INDEPENDENT 31-bit polynomial token hashes
@@ -541,7 +667,10 @@ WHERE CAST(inter AS DOUBLE) / uni >= {threshold}
 # 16-bit and a 15-bit band -> 8 bands with 65k/32k key spaces: bucket
 # population at 10^9 docs is O(N/2^15) per band instead of a single
 # 31-bit word's O(N/256) quadratic hot spot, and pairs within Hamming <= 3 still share
-# at least 8-3 = 5 bands exactly (full recall at the threshold).
+# at least 8-3 = 5 bands exactly (full recall at the threshold).  A hot
+# bucket splits on the low 16 bits of the next word ((w+1) % 4); a pair
+# whose differing bits touch <= 2 words keeps an agreeing band whose
+# subkey word it also agrees on.
 # Zero-token docs are DROPPED (they would all collide in one
 # signature-0 bucket and are not meaningful near-dup candidates —
 # mirroring MinHasher's documented contract).
@@ -552,17 +681,8 @@ SIMHASH_CHAR_BASES = (131, 137, 139, 149)  # independent hash family members
 # per-word band splits: (lo_bit, n_bits) — 2 bands/word x 4 words = 8 bands
 SIMHASH_BAND_SPLITS = ((0, 16), (16, 15))
 SIMHASH_BANDS = SIMHASH_WORDS * len(SIMHASH_BAND_SPLITS)
-
-# 16-bit popcount LUT (numpy 1.x has no bitwise_count)
-_POP16 = np.array(
-    [bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8
-)
-
-
-def _popcount32(x: np.ndarray) -> np.ndarray:
-    x = x.astype(np.uint32)
-    return (_POP16[x & 0xFFFF].astype(np.int64)
-            + _POP16[x >> 16].astype(np.int64))
+SIMHASH_BUCKET_CAP = 4096
+_SIMHASH_COLS = [f"sig{w}" for w in range(SIMHASH_WORDS)]
 
 
 class SimHasher:
@@ -599,164 +719,36 @@ def simhash_signatures(sf_dir: str):
     return map_cached(read(sf_dir, "documents", columns=["doc_id", "text"]), SimHasher)
 
 
-def _band_specs() -> list[tuple[int, int, int, int]]:
-    """[(band, word, lo_bit, mask)] for the 8 per-word band splits."""
-    specs = []
-    band = 0
-    for w in range(SIMHASH_WORDS):
-        for lo, nbits in SIMHASH_BAND_SPLITS:
-            specs.append((band, w, lo, (1 << nbits) - 1))
-            band += 1
-    return specs
-
-
-# Hot-bucket cap: a (band, key) bucket whose
-# population exceeds the cap is split by the LOW 16 BITS OF THE
-# COMPLEMENTARY WORD's signature (word (w+1) % 4 for a band over word
-# w), dividing a degenerate pileup up to 65536 ways — a 10^9-doc
-# worst-case bucket drops to ~15k per sub-bucket, bounding the in-bucket
-# O(pop^2) pair enumeration.  Two honest limits, both by construction:
-# (1) identical signatures share the subkey, so a flood of EXACT
-# duplicates is not split — but those pairs ARE the answer and their
-# quadratic output is the result size, not overhead; (2) a
-# within-threshold pair in a split bucket survives only if it agrees on
-# the subkey bits — it differs in <= max_hamming bits total across all
-# four words, so at least one of its >= 8 - max_hamming agreeing bands
-# draws its subkey from a word the pair agrees on whenever the
-# differing bits touch <= 2 words (3 differing words can in principle
-# cover all complements: bounded, documented recall loss under
-# adversarial skew).  The cap is inert below bucket_cap docs (the
-# oracle corpora) and the SQL twin reproduces the split exactly, so
-# parity holds with the cap ACTIVE (tested at cap=1).
-
-SIMHASH_BUCKET_CAP = 4096
-SIMHASH_SUBKEY_BITS = 16
-
-
-def hot_buckets(ds, band_keys, cap: int) -> dict[int, np.ndarray]:
-    """{band: sorted int64 keys} of the (band, key) buckets holding more
-    than ``cap`` rows of ``ds``; ``band_keys(batch)`` gives each row's
-    (rows, bands) int64 key matrix.  Each block counts its own (band, key)
-    pairs, and one exchange sums the counts and keeps only the hot keys,
-    so the driver receives those alone."""
-    import logging
-
-    def counts(batch: pa.Table) -> pd.DataFrame:
-        keys = band_keys(batch)
-        bands = np.tile(np.arange(keys.shape[1], dtype=np.int64), len(keys))
-        return pd.DataFrame({"band": bands, "key": keys.reshape(-1)}).groupby(
-            ["band", "key"], as_index=False
-        ).size()
-
-    def hot(rows: pd.DataFrame) -> pd.DataFrame:
-        g = rows.groupby(["band", "key"], as_index=False, sort=False)["size"].sum()
-        return g[g["size"] > cap]
-
-    over = co_partition(
-        hot,
-        rows=(ds.map_batches(counts, batch_format="pyarrow"), ["band", "key"],
-              {"band": pa.int64(), "key": pa.int64(), "size": pa.int64()}),
-    ).to_pandas()
-    if not len(over):
-        return {}
-    logging.getLogger(__name__).info(
-        "splitting %d hot (band, key) buckets of more than %d rows", len(over), cap
-    )
-    return {int(b): np.sort(g["key"].to_numpy(np.int64)) for b, g in over.groupby("band")}
+def _band_specs() -> list[tuple[int, int, int, int, int]]:
+    """:func:`hamming_buckets` specs ``(word, lo, mask, word2, lo2)`` of
+    the 8 bands: each word's 16-bit and 15-bit band, split when hot on the
+    low bits of the next word."""
+    return [(w, lo, (1 << nbits) - 1, (w + 1) % SIMHASH_WORDS, 0)
+            for w in range(SIMHASH_WORDS) for lo, nbits in SIMHASH_BAND_SPLITS]
 
 
 def simhash_pairs(
     sf_dir: str, max_hamming: int = 3, bucket_cap: int = SIMHASH_BUCKET_CAP
 ):
     """Near-dup pairs by SimHash banding over the 124-bit signature,
-    fully distributed: band-explode (8 bands, 15/16-bit keys) ->
-    co-partition on (band, key, key2) -> vectorized in-bucket pair
-    enumeration with XOR-popcount Hamming over the 4 words -> distinct
-    via a per-pair min.  Signatures within Hamming <= max_hamming (< 8) share at
-    least one band exactly, so banding has full recall at the threshold;
-    buckets over ``bucket_cap`` are sub-split on complementary-word bits
-    (key2; see the module note above for the bounded recall caveat)."""
-    import ray
+    fully distributed: :func:`hamming_buckets` over the 8 bands, each
+    bucket closed by a vectorized pair enumeration with XOR-popcount
+    Hamming over the 4 words, then distinct via a per-pair min.
+    Signatures within Hamming <= max_hamming (< 8) share at least one band
+    exactly, so banding has full recall at the threshold; buckets over
+    ``bucket_cap`` are sub-split (key2; see the note above for the bounded
+    recall caveat)."""
+    from . import footer_rows
 
-    from . import table_rows
-
-    sig_ds = simhash_signatures(sf_dir)
-    specs = _band_specs()
-    sig_cols = [f"sig{w}" for w in range(SIMHASH_WORDS)]
-    sub_mask = (1 << SIMHASH_SUBKEY_BITS) - 1
-
-    def _sigs_of(batch: pa.Table) -> np.ndarray:
-        if len(batch) == 0:
-            return np.zeros((0, SIMHASH_WORDS), dtype=np.int64)
-        return np.stack(
-            [np.asarray(batch[c].to_pylist(), dtype=np.int64) for c in sig_cols],
-            axis=1,
-        )
-
-    def _keys(sigs: np.ndarray) -> np.ndarray:
-        keys = np.empty((len(sigs), len(specs)), dtype=np.int64)
-        for band, w, lo, mask in specs:
-            keys[:, band] = (sigs[:, w] >> lo) & mask
-        return keys
-
-    # hot-bucket pre-pass, skipped when the corpus can't exceed the cap.
-    # The pre-pass and the band explode both read the signatures, so pin
-    # them (40 bytes per document) and hash each document once.
-    hot_by_band: dict[int, np.ndarray] = {}
-    n_docs = table_rows(sf_dir, "documents")
-    if n_docs is None or n_docs > bucket_cap:
-        sig_ds = sig_ds.materialize()
-        hot_by_band = hot_buckets(sig_ds, lambda b: _keys(_sigs_of(b)), bucket_cap)
-    hot_ref = ray.put(hot_by_band)
-
-    def explode(batch: pa.Table) -> pa.Table:
-        ids = np.asarray(batch["doc_id"].to_pylist(), dtype=np.int64)
-        sigs = _sigs_of(batch)
-        n = len(ids)
-        nb = len(specs)
-        keys = _keys(sigs)
-        # subkey per band: low bits of the complementary word, applied
-        # only where (band, key) is hot
-        hot_ = ray.get(hot_ref)
-        key2 = np.zeros((n, nb), dtype=np.int64)
-        if hot_:
-            for band, w, lo, mask in specs:
-                hk = hot_.get(band)
-                if hk is None:
-                    continue
-                w2 = (w + 1) % SIMHASH_WORDS
-                sub = sigs[:, w2] & sub_mask
-                is_hot = np.isin(keys[:, band], hk, assume_unique=False)
-                key2[is_hot, band] = sub[is_hot]
-        cols = {
-            "band": pa.array(np.tile(np.arange(nb, dtype=np.int32), n)),
-            "key": pa.array(keys.reshape(-1)),
-            "key2": pa.array(key2.reshape(-1)),
-            "doc_id": pa.array(np.repeat(ids, nb)),
-        }
-        for w, c in enumerate(sig_cols):
-            cols[c] = pa.array(np.repeat(sigs[:, w], nb))
-        return pa.table(cols)
-
-    def bucket_pairs(rows: pd.DataFrame) -> pd.DataFrame:
-        i, j = _bucket_pairs(rows, ["band", "key", "key2"])
-        sigs = rows[sig_cols].to_numpy(np.int64)
-        ham = np.zeros(len(i), dtype=np.int64)
-        for w in range(SIMHASH_WORDS):
-            ham += _popcount32(np.bitwise_xor(sigs[i, w], sigs[j, w]).astype(np.uint32))
+    def close(rows: pd.DataFrame) -> pd.DataFrame:
+        i, j = _bucket_pairs(rows, HAMMING_BUCKET)
+        ham = hamming(rows[_SIMHASH_COLS].to_numpy(np.int64), i, j)
         m = ham <= max_hamming
         ids = rows["doc_id"].to_numpy(np.int64)
         return pd.DataFrame({"doc_a": ids[i[m]], "doc_b": ids[j[m]], "hamming": ham[m]})
 
-    pairs = co_partition(
-        bucket_pairs,
-        rows=(
-            sig_ds.map_batches(explode, batch_format="pyarrow"),
-            ["band", "key", "key2"],
-            {"band": pa.int32(), "key": pa.int64(), "key2": pa.int64(), "doc_id": pa.int64(),
-             **{c: pa.int64() for c in sig_cols}},
-        ),
-    )
+    pairs = hamming_buckets(close, simhash_signatures(sf_dir), ("doc_id", pa.int64()), _SIMHASH_COLS,
+                            _band_specs(), bucket_cap, footer_rows(f"{sf_dir}/documents.parquet"))
     # distinct across bands (hamming is identical for a given pair)
     return reduce_by(
         pairs,
@@ -798,40 +790,16 @@ sig AS (SELECT doc_id, {words} FROM agg)
 """
 
 
-SIMHASH_SIGS_SQL_TAIL = "SELECT doc_id, sig0, sig1, sig2, sig3 FROM sig"
-
-
 def simhash_pairs_sql(
     max_hamming: int = 3, bucket_cap: int = SIMHASH_BUCKET_CAP
 ) -> str:
-    specs = _band_specs()
-    # word2 = complementary word supplying the hot-bucket subkey bits
-    band_rows = ", ".join(
-        f"({b}, {w}, {lo}, {mask}, {(w + 1) % SIMHASH_WORDS})"
-        for b, w, lo, mask in specs
-    )
-    word_case = (
-        "CASE word WHEN 0 THEN sig0 WHEN 1 THEN sig1 "
-        "WHEN 2 THEN sig2 ELSE sig3 END"
-    )
-    word2_case = (
-        "CASE word2 WHEN 0 THEN sig0 WHEN 1 THEN sig1 "
-        "WHEN 2 THEN sig2 ELSE sig3 END"
-    )
-    sub_mask = (1 << SIMHASH_SUBKEY_BITS) - 1
     ham = " + ".join(
         f"bit_count(xor(x.sig{w}, y.sig{w}))" for w in range(SIMHASH_WORDS)
     )
+    buckets = hamming_buckets_sql("sig", "doc_id, " + ", ".join(_SIMHASH_COLS), _SIMHASH_COLS,
+                                  _band_specs(), bucket_cap)
     return simhash_sig_sql() + f"""
-, bands(band, word, lo, mask, word2) AS (VALUES {band_rows}),
-b0 AS (SELECT doc_id, sig0, sig1, sig2, sig3, band,
-              (({word_case}) >> lo) & mask AS key,
-              ({word2_case}) & {sub_mask} AS sub
-       FROM sig CROSS JOIN bands),
-b AS (SELECT doc_id, sig0, sig1, sig2, sig3, band, key,
-             CASE WHEN count(*) OVER (PARTITION BY band, key) > {bucket_cap}
-                  THEN sub ELSE 0 END AS key2
-      FROM b0)
+, {buckets}
 SELECT DISTINCT x.doc_id AS doc_a, y.doc_id AS doc_b,
        {ham} AS hamming
 FROM b x JOIN b y ON x.band = y.band AND x.key = y.key

@@ -21,11 +21,15 @@ the engine's decode+hash kernel against the oracle's and the distributed
 grouping against SQL semantics.
 
 Scale shape: decode+hash is a warm-stage task ``map_batches`` over the
-sharded media table (payload bytes never shuffle); the only exchange is
-the ``co_partition`` on the 8-byte hash.  The synthetic corpus has no planted
-byte-duplicates, so on testdata the groups are singletons (the kernel
-parity is the verified substance there); the grouping logic is exercised
-by the planted-duplicate unit test.
+sharded media table (payload bytes never shuffle).  ``image_dhash_dups``'
+only exchange is the ``co_partition`` on the 8-byte hash;
+``image_dhash_near``'s are the shared banded-Hamming kernel's
+(``dedup.hamming_buckets``: one ``co_partition`` on (band, key, key2),
+plus a hot-bucket count only when the media hold more images than the
+cap) and one ``reduce_by`` on media_ref.  The synthetic corpus has no
+planted byte-duplicates, so on testdata the groups are singletons (the
+kernel parity is the verified substance there); the grouping logic is
+exercised by the planted-duplicate unit test.
 
 No reference analog: the reference has no dedup at all (SURVEY §2.9).
 """
@@ -233,9 +237,10 @@ FROM read_parquet('{path}')
 # the 64-bit dHash (hamming 0 == perceptual-identical is
 # image_dhash_dups' answer and is EXCLUDED here; the smallest ref of a
 # near set is its retained representative — the keep-first rule used by
-# every dedup op in this engine).  LSH banding: 4 bands of 16 bits — any
-# pair within hamming <= 3 agrees exactly on >= 1 band (pigeonhole), so
-# banding has full recall at the threshold.
+# every dedup op in this engine).  LSH banding through the shared
+# banded-Hamming kernel (``dedup.hamming_buckets``): 4 bands of 16 bits —
+# any pair within hamming <= 3 agrees exactly on >= 1 band (pigeonhole),
+# so banding has full recall at the threshold.
 #
 # Output is ONE ROW PER IMAGE, not pairs: measured on the synthetic
 # corpus, raw pair output is quadratic (1795 images -> 545k pairs at
@@ -249,17 +254,19 @@ FROM read_parquet('{path}')
 # all compare equal), so in-bucket enumeration needs two guards, both
 # SQL-mirrored exactly:
 #   1. a (band, key) bucket over ``bucket_cap`` is split by the 16 bits
-#      of the complementary band ((b+2) % 4) — same recall caveat as
-#      simhash_pairs (a <= max_hamming pair survives unless its
-#      differing bits hit the complement of every agreeing band);
+#      of the complementary band ((b+2) % 4) — the kernel's key2, with the
+#      same recall caveat as simhash_pairs (a <= max_hamming pair survives
+#      unless its differing bits hit the complement of every agreeing band);
 #   2. a (band, key, key2) bucket STILL over the cap is dropped and
 #      counted (the n-gram df-cap precedent): these are degenerate
 #      perceptual pileups (near-flat images) whose quadratic pair mass
 #      is spam you'd prune upstream at web scale; the skip is logged.
 
 NEAR_BANDS = 4
-NEAR_BAND_BITS = 16
 NEAR_BUCKET_CAP = 4096
+# dedup.hamming_buckets specs (word, lo, mask, word2, lo2): band b keys
+# bits [16b, 16b+16) and splits when hot on band (b+2) % 4's bits
+_NEAR_SPECS = [(0, 16 * b, 0xFFFF, 0, 16 * ((b + 2) % NEAR_BANDS)) for b in range(NEAR_BANDS)]
 
 
 def image_dhash_near(
@@ -271,164 +278,57 @@ def image_dhash_near(
     """(media_ref, dhash, near_dup): near_dup = 1 iff another image with
     a smaller media_ref sits within Hamming 1..max_hamming (see module
     note — flags, not pairs, keep the output linear).  Undecodable /
-    sub-grid images (dhash == DHASH_EMPTY) are excluded.  One
-    band-exploded co-partition on the (band, key, key2) bucket whose rows
-    are <= ~40 bytes; payload bytes never shuffle; the per-image
-    cross-band union is a second co-partition on media_ref."""
+    sub-grid images (dhash == DHASH_EMPTY) are excluded.  The band explode
+    and its (band, key, key2) co-partition are ``dedup.hamming_buckets``
+    (rows <= ~40 bytes; payload bytes never shuffle; its hot-bucket count
+    runs only when the media footers hold more than ``bucket_cap``
+    images); the per-image union across bands is one ``reduce_by`` max on
+    media_ref."""
     import logging
 
     import pandas as pd
-    import ray
 
-    from .dedup import hot_buckets
+    from . import footer_rows, reduce_by
+    from .dedup import HAMMING_BUCKET, _bucket_pairs, hamming, hamming_buckets
 
-    # materialize the (media_ref, dhash) table ONCE: it is consumed twice
-    # (hot-bucket pre-pass + band explode) and re-deriving it would decode
-    # every payload a second time — the decode dominates the op.  The
-    # materialized table is ~40 bytes/row with NO payload bytes (4 GB at
-    # 10^8 images, spread across the object store), so this is a bounded
-    # materialize, not a corpus one.
-    hashes = image_dhash(media_dir, concurrency=concurrency).materialize()
-    mask16 = np.int64((1 << NEAR_BAND_BITS) - 1)
+    value = [*HAMMING_BUCKET, "dhash"]
 
-    def _keys(h: np.ndarray) -> np.ndarray:
-        # arithmetic shift + mask extracts bits [16b, 16b+16) exactly as
-        # DuckDB's (dhash >> lo) & 65535 (parity-checked on negatives)
-        return np.stack(
-            [(h >> np.int64(16 * b)) & mask16 for b in range(NEAR_BANDS)],
-            axis=1,
-        )
+    def flag(rows: pd.DataFrame) -> pd.DataFrame:
+        """One flag per row, for every bucket of the group at once.  Each
+        bucket collapses to its unique hash values, each carrying its
+        min-ref row, before the quadratic XOR-popcount (identical hashes
+        are the bulk of a perceptual-hash pileup: at sf0.1 ~3 images share
+        each hash), so the pairs are U^2, not n^2, per bucket; a row is
+        flagged iff a near (hamming 1..max) value of its bucket has a
+        smaller min ref.  Rows of buckets over the cap get no flag
+        (guard 2)."""
+        fits = rows.groupby(HAMMING_BUCKET, sort=False)["dhash"].transform("size").to_numpy() <= bucket_cap
+        if not fits.all():
+            logging.getLogger(__name__).info(
+                "image_dhash_near: dropping %d rows of degenerate buckets", int((~fits).sum()))
+        g = rows[fits]
+        ref = pd.factorize(g["media_ref"], sort=True)[0]  # ref order within the group
+        uniq, val = np.unique(g[value].to_numpy(np.int64), axis=0, return_inverse=True)
+        val = val.reshape(-1)
+        first = np.full(len(uniq), len(g))
+        np.minimum.at(first, val, ref)
+        i, j = _bucket_pairs(pd.DataFrame(uniq, columns=value), HAMMING_BUCKET, id_col="dhash")
+        d = hamming(uniq[:, -1:], i, j)
+        near = (d >= 1) & (d <= max_hamming)
+        i, j = i[near], j[near]
+        near_min = np.full(len(uniq), len(g))
+        np.minimum.at(near_min, i, first[j])
+        np.minimum.at(near_min, j, first[i])
+        flags = np.zeros(len(rows), dtype=np.int64)
+        flags[fits] = ref > near_min[val]
+        return pd.DataFrame({"media_ref": rows["media_ref"], "dhash": rows["dhash"], "near_dup": flags})
 
-    # hot-bucket pre-pass: (band, key) histogram, bounded by the key
-    # space (4 x 2^16 rows max) regardless of corpus size
-    def band_keys(batch: pa.Table) -> np.ndarray:
-        h = batch["dhash"].to_numpy()
-        return _keys(h[h != DHASH_EMPTY])
-
-    hot_ref = ray.put(hot_buckets(hashes, band_keys, bucket_cap))
-
-    def explode(batch: pa.Table) -> pa.Table:
-        h = batch["dhash"].to_numpy()
-        keep = np.flatnonzero(h != DHASH_EMPTY)
-        h = h[keep]
-        n = len(h)
-        keys = _keys(h)
-        hot_ = ray.get(hot_ref)
-        key2 = np.zeros((n, NEAR_BANDS), dtype=np.int64)
-        for b in range(NEAR_BANDS):
-            hk = hot_.get(b)
-            if hk is None:
-                continue
-            sub = (h >> np.int64(16 * ((b + 2) % NEAR_BANDS))) & mask16
-            is_hot = np.isin(keys[:, b], hk)
-            key2[is_hot, b] = sub[is_hot]
-        return pa.table(
-            {
-                "band": pa.array(np.tile(np.arange(NEAR_BANDS, dtype=np.int64), n)),
-                "key": pa.array(keys.reshape(-1)),
-                "key2": pa.array(key2.reshape(-1)),
-                "media_ref": batch["media_ref"].take(np.repeat(keep, NEAR_BANDS)),
-                "dhash": pa.array(np.repeat(h, NEAR_BANDS)),
-            }
-        )
-
-    def bucket_flags(buckets: pd.DataFrame) -> pd.DataFrame:
-        """All buckets of one group: sort by (bucket, media_ref), find
-        segment boundaries, then per multi-member segment compute flags
-        over the UNIQUE hash values only — a row is flagged iff some
-        near (hamming 1..max) VALUE has an earlier min-ref, so identical
-        hashes (the dominant mass in a perceptual-hash pileup: at sf0.1
-        ~3 images share each hash) collapse before the quadratic
-        XOR-popcount, turning n^2 per bucket into U^2 (semantics
-        unchanged: hamming 0 is excluded either way).  This kernel cut
-        the sf0.1 reading ~5x."""
-        from .dedup import _popcount32
-
-        g = buckets.sort_values(
-            ["band", "key", "key2", "media_ref"], kind="stable"
-        )
-        band = g["band"].to_numpy(np.int64)
-        key = g["key"].to_numpy(np.int64)
-        key2 = g["key2"].to_numpy(np.int64)
-        refs = g["media_ref"].to_numpy(object)
-        h = g["dhash"].to_numpy(np.int64)
-        n = len(g)
-        flags = np.zeros(n, dtype=np.int64)
-        if n:
-            change = np.empty(n, dtype=bool)
-            change[0] = True
-            change[1:] = (
-                (band[1:] != band[:-1])
-                | (key[1:] != key[:-1])
-                | (key2[1:] != key2[:-1])
-            )
-            starts = np.flatnonzero(change)
-            ends = np.append(starts[1:], n)
-            for s, e in zip(starts, ends):
-                m = e - s
-                if m <= 1:
-                    continue
-                if m > bucket_cap:  # guard 2: degenerate pileup
-                    logging.getLogger(__name__).info(
-                        "image_dhash_near: dropping degenerate bucket "
-                        "of %d images",
-                        m,
-                    )
-                    continue
-                hs = h[s:e]
-                # rows are ref-sorted, so np.unique's first-occurrence
-                # index IS the min-ref position of each value
-                uh, first_pos = np.unique(hs, return_index=True)
-                u = len(uh)
-                if u <= 1:
-                    continue  # all identical: hamming 0 only, no flags
-                inv = np.searchsorted(uh, hs)
-                uu = uh.view(np.uint64)
-                near_min = np.full(u, m, dtype=np.int64)
-                for lo in range(0, u, 1024):
-                    hi = min(lo + 1024, u)
-                    x = uu[lo:hi, None] ^ uu[None, :]
-                    ham = _popcount32(
-                        (x & np.uint64(0xFFFFFFFF)).astype(np.uint32)
-                    ) + _popcount32((x >> np.uint64(32)).astype(np.uint32))
-                    fp = np.where(
-                        (ham >= 1) & (ham <= max_hamming),
-                        first_pos[None, :],
-                        m,
-                    )
-                    near_min[lo:hi] = fp.min(axis=1)
-                # flagged iff a near value's min-ref row precedes this row
-                flags[s:e] = np.maximum(
-                    flags[s:e],
-                    (np.arange(m, dtype=np.int64) > near_min[inv]).astype(
-                        np.int64
-                    ),
-                )
-        return pd.DataFrame({"media_ref": refs, "dhash": h, "near_dup": flags})
-
-    def union_flags(flags: pd.DataFrame) -> pd.DataFrame:
-        return flags.groupby("media_ref", as_index=False).agg(
-            dhash=("dhash", "min"), near_dup=("near_dup", "max")
-        )
-
-    flags = co_partition(
-        bucket_flags,
-        buckets=(
-            hashes.map_batches(explode, batch_format="pyarrow"),
-            ["band", "key", "key2"],
-            {"band": pa.int64(), "key": pa.int64(), "key2": pa.int64(),
-             "media_ref": pa.string(), "dhash": pa.int64()},
-        ),
-    )
-    # union across bands: flagged anywhere -> flagged (dhash is constant
-    # per ref, min keeps it verbatim).  A co-partition on media_ref, not
-    # Ray's sort aggregate on the string key: that measured 21 s of a
-    # 30 s sf0.1 run, the co-partition + pandas groupby ~1 s
-    return co_partition(
-        union_flags,
-        flags=(flags, "media_ref",
-               {"media_ref": pa.string(), "dhash": pa.int64(), "near_dup": pa.int64()}),
-    )
+    hashes = image_dhash(media_dir, concurrency=concurrency).filter(expr=f"dhash != {DHASH_EMPTY}")
+    flags = hamming_buckets(flag, hashes, ("media_ref", pa.string()), ["dhash"], _NEAR_SPECS,
+                            bucket_cap, footer_rows(*_media_files(media_dir)))
+    # flagged in any band -> flagged (dhash is constant per ref)
+    return reduce_by(flags, "media_ref",
+                     {"media_ref": pa.string(), "dhash": pa.int64(), "near_dup": pa.int64()}, "max")
 
 
 def image_dhash_near_sql(
@@ -437,32 +337,23 @@ def image_dhash_near_sql(
     bucket_cap: int = NEAR_BUCKET_CAP,
 ) -> str:
     """DuckDB twin over the independent-oracle fixture hashes, mirroring
-    BOTH hot-bucket guards via window counts and the keep-first flag via
-    a banded self-join EXISTS."""
+    BOTH hot-bucket guards via window counts (``dedup.hamming_buckets_sql``
+    and a per-(band, key, key2) count) and the keep-first flag via a
+    banded self-join."""
+    from .dedup import hamming_buckets_sql
+
     path = oracle_dhash_fixture(media_dir)
-    band_rows = ", ".join(
-        f"({b}, {16 * b}, {16 * ((b + 2) % NEAR_BANDS)})"
-        for b in range(NEAR_BANDS)
-    )
+    buckets = hamming_buckets_sql("h", "media_ref, dhash", ["dhash"], _NEAR_SPECS, bucket_cap)
     return f"""
 WITH h AS (SELECT media_ref, dhash FROM read_parquet('{path}')
            WHERE dhash != {DHASH_EMPTY}),
-bands(band, lo, lo2) AS (VALUES {band_rows}),
-b0 AS (SELECT media_ref, dhash, band, lo2,
-              (dhash >> lo) & 65535 AS key
-       FROM h CROSS JOIN bands),
-b1 AS (SELECT media_ref, dhash, band, key,
-              CASE WHEN count(*) OVER (PARTITION BY band, key)
-                        > {bucket_cap}
-                   THEN (dhash >> lo2) & 65535 ELSE 0 END AS key2
-       FROM b0),
-b AS (SELECT * FROM (
-        SELECT media_ref, dhash, band, key, key2,
-               count(*) OVER (PARTITION BY band, key, key2) AS bn
-        FROM b1) WHERE bn <= {bucket_cap}),
+{buckets},
+bb AS (SELECT * FROM (
+        SELECT *, count(*) OVER (PARTITION BY band, key, key2) AS bn
+        FROM b) WHERE bn <= {bucket_cap}),
 flagged AS (
   SELECT DISTINCT x.media_ref
-  FROM b x JOIN b y
+  FROM bb x JOIN bb y
     ON x.band = y.band AND x.key = y.key AND x.key2 = y.key2
    AND y.media_ref < x.media_ref
   WHERE bit_count(xor(x.dhash, y.dhash)) BETWEEN 1 AND {max_hamming})

@@ -100,3 +100,23 @@ def test_pick_attempt_steal_gate():
     b2 = {"eff": 0.7, "steal": 8.0, "gated": True}
     assert bench._pick_attempt([b1, b2]) is b2  # lowest steal, flagged
     assert bench._pick_attempt([b1, b2])["gated"] is True
+
+
+def test_scaling_refuses_below_its_upper_level(monkeypatch):
+    """On a host with fewer CPUs than its 32-CPU level, --scaling would
+    measure oversubscription: it refuses before any pass, names the host's
+    CPU count and leaves BASELINE.md as it was."""
+    import pytest
+
+    path = os.path.join(os.path.dirname(bench.__file__), "BASELINE.md")
+    before = open(path, "rb").read()
+
+    def no_pass(*args, **kwargs):
+        raise AssertionError("a scaling pass started")
+
+    monkeypatch.setattr(bench.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(bench.subprocess, "run", no_pass)
+    with pytest.raises(SystemExit) as refused:
+        bench.run_scaling()
+    assert "this host has 4" in str(refused.value)
+    assert open(path, "rb").read() == before

@@ -237,3 +237,47 @@ def test_every_ray_exchange_goes_through_co_partition():
             sites.setdefault((str(path.relative_to(package)), func), set()).add(what)
     assert sites.pop(("ops/__init__.py", "co_partition")) == {"groupby", "map_groups"}
     assert sites == {site: {"join"} for site in LEFT_ALONE}
+
+
+# popcount primitives: the LUT, numpy's and Python's bit counts
+_POPCOUNT = {"_POP16", "bitwise_count", "bit_count", "unpackbits", "bin"}
+
+
+def _references(root):
+    """{name: {(module, top-level function)}} of every identifier (a name
+    or an attribute) and, under ``"str:" + value``, every string constant
+    in the package ("<module>" outside any function)."""
+    import ast
+
+    refs = {}
+    for path in sorted(root.rglob("*.py")):
+        module = str(path.relative_to(root))
+        for top in ast.parse(path.read_text()).body:
+            owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute)
+                        else "str:" + node.value if isinstance(node, ast.Constant)
+                        and isinstance(node.value, str) else None)
+                if name:
+                    refs.setdefault(name, set()).add((module, owner))
+    return refs
+
+
+def test_one_banded_hamming_path():
+    """The banded-Hamming near-dup pipeline exists once, in
+    ``ops/dedup.py``: only ``hamming`` counts bits (the module builds its
+    lookup table); only ``hamming_buckets`` and its ``HAMMING_BUCKET``
+    columns name a ``key2`` column, so the band explode, the hot-bucket
+    count and split live there alone; and every function that calls
+    ``hamming`` also calls ``hamming_buckets``, so a Hamming close-out is
+    one of the kernel's.  A third copy of the pipeline fails here."""
+    import pathlib
+
+    refs = _references(pathlib.Path(__file__).resolve().parents[1] / "pytorchocr_ray")
+    popcount = set().union(*(refs.get(n, set()) for n in _POPCOUNT))
+    assert popcount == {("ops/dedup.py", "<module>"), ("ops/dedup.py", "hamming")}, popcount
+    assert refs["str:key2"] == {("ops/dedup.py", "<module>"), ("ops/dedup.py", "hamming_buckets")}
+    assert "hot_buckets" not in refs
+    assert refs["hamming"] <= refs["hamming_buckets"]
+    assert {f for _m, f in refs["hamming"]} == {"simhash_pairs", "image_dhash_near"}

@@ -179,3 +179,50 @@ def test_image_dhash_near_cap_parity(ray_session, near_dir):
     media_dir, ham = near_dir
     con = duckdb.connect()
     _near_match(media_dir, con, max_hamming=max(3, ham), bucket_cap=1)
+
+
+def _gate_run(monkeypatch, run, forced: bool):
+    """(sorted result of ``run()``, names of the close-outs the banded
+    kernel ran through co_partition); ``forced`` hides the footer count, so
+    the kernel must count the hot buckets."""
+    import pytorchocr_ray.ops as ops
+    from pytorchocr_ray.ops import dedup
+
+    names = []
+    real = dedup.co_partition
+
+    def spy(fn, **sides):
+        names.append(fn.__name__)
+        return real(fn, **sides)
+
+    with monkeypatch.context() as m:
+        m.setattr(dedup, "co_partition", spy)
+        if forced:
+            m.setattr(ops, "footer_rows", lambda *paths: None)
+        df = run().to_pandas()
+    return df.sort_values(list(df.columns)).reset_index(drop=True), names
+
+
+@pytest.mark.parametrize("query", ["simhash_pairs", "image_dhash_near"])
+def test_hot_bucket_gate_is_exact(ray_session, near_dir, tmp_path, monkeypatch, query):
+    """At the default cap, skipping the hot-bucket count because the
+    footers hold fewer rows than the cap returns the same table as running
+    it (no bucket can be hot), and the skip really drops that exchange."""
+    from functools import partial
+
+    from pytorchocr_ray.ops.dedup import simhash_pairs
+
+    if query == "simhash_pairs":
+        rng = np.random.default_rng(3)
+        texts = [" ".join(rng.choice([f"w{i}" for i in range(80)], 40)) for _ in range(12)]
+        texts.append(texts[4])  # an exact copy: a hamming-0 pair
+        pq.write_table(pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
+                                 "text": texts}), str(tmp_path / "documents.parquet"))
+        run = partial(simhash_pairs, str(tmp_path))
+    else:
+        run = partial(image_dhash_near, near_dir[0], concurrency=2)
+    gated, gated_names = _gate_run(monkeypatch, run, forced=False)
+    forced, forced_names = _gate_run(monkeypatch, run, forced=True)
+    assert len(gated) and gated.equals(forced)
+    # hot_keys: the kernel's hot-bucket count
+    assert "hot_keys" in forced_names and "hot_keys" not in gated_names, (forced_names, gated_names)

@@ -165,7 +165,7 @@ def test_simhash_bucket_sizes_bounded_on_skewed_corpus():
     )
     worst = 0
     distinct_keys = 0
-    for band, w, lo, mask in _band_specs():
+    for w, lo, mask, _w2, _lo2 in _band_specs():
         keys = (sigs[:, w] >> lo) & mask
         _, counts = np.unique(keys, return_counts=True)
         worst = max(worst, int(counts.max()))

@@ -316,6 +316,37 @@ def test_bucket_pairs_match_per_bucket_triu(rows, max_n):
     assert got == sorted(want)
 
 
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda w: st.lists(
+            st.lists(st.one_of(_INT64, st.sampled_from([-1, -(2**63), 2**63 - 1, 0])),
+                     min_size=w, max_size=w),
+            min_size=1, max_size=12,
+        )
+    ),
+    st.data(),
+)
+def test_hamming_counts_every_bit_of_every_word(words, data):
+    """dedup.hamming, the popcount of every banded-Hamming close-out,
+    equals Python's bit count of each word's 64-bit XOR pattern summed over
+    the words, negative words (dHash's two's-complement view) and bit 63
+    included."""
+    from pytorchocr_ray.ops.dedup import hamming
+
+    sigs = np.array(words, dtype=np.int64)
+    idx = st.lists(st.integers(0, len(words) - 1), max_size=20)
+    i = np.array(data.draw(idx), dtype=np.int64)
+    j = np.array(data.draw(st.lists(st.integers(0, len(words) - 1),
+                                    min_size=len(i), max_size=len(i))), dtype=np.int64)
+    want = [sum(bin((a ^ b) & (2**64 - 1)).count("1") for a, b in zip(words[p], words[q]))
+            for p, q in zip(i.tolist(), j.tolist())]
+    assert hamming(sigs, i, j).tolist() == want
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.tuples(st.sampled_from("abc"), st.integers(-50, 50), st.integers(1, 9)),
