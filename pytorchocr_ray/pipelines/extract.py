@@ -9,13 +9,15 @@
               ──> write_parquet / Dataset
 
 Every map is a task (``stages.warm.map_stage`` builds the OCR stage once
-per worker process), so Ray fuses the pass into one operator from the maps
-to the write; the read joins it when the input has at least as many files
-as the blocks it asks for. Zero shuffles by default: documents stay
-block-contiguous through the map stages, so reassembly runs block-local
-(``reassemble="local"``). Media payloads are looked up inside the workers,
-from a sharded parquet store each one reads lazily (a single-file sidecar
-is broadcast via ``ray.put``) — no shuffle join for the sidecar.
+per worker process), and the read is one task per row range planned from
+the parquet footers (``sources.parquet_ranges``), so Ray fuses the pass
+into one operator from the read to the write, whatever the file count, and
+every worker starts its first block at once. Zero shuffles by default:
+documents stay block-contiguous through the map stages, so reassembly runs
+block-local (``reassemble="local"``). Media payloads are looked up inside
+the workers, from a sharded parquet store each one reads lazily (a
+single-file sidecar is broadcast via ``ray.put``) — no shuffle join for the
+sidecar.
 """
 
 from __future__ import annotations
@@ -30,10 +32,22 @@ from ..stages.spans import explode_spans, normalize_text_spans
 from ..stages.warm import default_concurrency, map_stage, stage_workers  # noqa: F401
 
 # The block is the unit of OCR work: the OCR stage takes each block whole
-# (``batch_size=None``), one call per block. Splitting the read into ~8
-# blocks per worker keeps the workers busy in many waves (no straggler tail
-# from media-heavy blocks); the count scales with the workers, not the data.
+# (``batch_size=None``), one call per block. Rows that may hold media are
+# read as ~8 blocks per worker, which keeps the workers busy in many waves
+# (no straggler tail from media-heavy blocks); rows the footers prove
+# text-only are read as one block per worker, since there a block's fixed
+# cost outweighs its work. The counts scale with the workers, not the data.
 BLOCKS_PER_WORKER = 8
+
+# The pass's own DataContext sets no block size target. Ray then emits
+# every map's output whole, so from the read to the write a block is one
+# read range of whole documents (stages/reassemble.py relies on it). Nor
+# does Ray reserve store for a task before its first output; at Ray's
+# 128 MiB default it reserves 2x that per task, a second task does not fit
+# the store budget of a small node, and the workers start one by one. The
+# footers bound a block instead: a range holds at most RANGE_BYTES of
+# uncompressed footer bytes.
+RANGE_BYTES = 1 << 20
 
 
 def load_media_store(media_path: str):
@@ -97,9 +111,17 @@ def extract_dataset(
 
     # A *.lance docs path routes through the Lance reader when the lib is
     # present (import-guarded; BASELINE names a Lance table).
-    from ..sources.lance_io import read_table_auto
+    from ..sources.lance_io import is_lance_path, read_table_auto
+    from ..sources.parquet_ranges import read_parquet_ranges
 
-    ds = read_table_auto(docs_path, override_num_blocks=conc * BLOCKS_PER_WORKER)
+    if isinstance(docs_path, str) and is_lance_path(docs_path):
+        ds = read_table_auto(docs_path)
+    else:
+        ds = read_parquet_ranges(
+            docs_path, workers=conc, blocks_per_worker=BLOCKS_PER_WORKER,
+            max_bytes=RANGE_BYTES,
+        )
+    ds.context.target_max_block_size = None
     ds = ds.map_batches(explode_spans, batch_format="pyarrow")
     ds = ds.map_batches(normalize_text_spans, batch_format="pyarrow")
     ds = map_stage(

@@ -4,12 +4,12 @@ One close-out, :func:`reassemble_block`, over two physical plans:
 
 * block-local (``reassemble="local"``) — the ZERO-shuffle fast path. A
   document is one row of the input table, so a whole document always lands
-  in one read block, and every upstream stage (explode, normalize, OCR) is
-  an order-preserving map over its block — a document's span rows are
-  therefore contiguous within one output block. Reassembly is then a
-  block-local stable sort + per-doc cumcount. Assumption documented here
-  and asserted in tests; the partitioned runner's bucket layout provides
-  the same guarantee at scale.
+  in one read block (a row range, ``sources.parquet_ranges``), and every
+  upstream stage (explode, normalize, OCR) is an order-preserving map over
+  its block — a document's span rows are therefore contiguous within one
+  output block. Reassembly is then a block-local stable sort + per-doc
+  cumcount. Assumption documented here and asserted in tests; the
+  partitioned runner's bucket layout provides the same guarantee at scale.
 * :func:`reassemble_shuffle` — the general plan, for inputs where span rows
   arrive pre-exploded / scattered: the library's one keyed exchange,
   ``ops.co_partition`` on doc_id, brings every row of a document into one
@@ -40,6 +40,13 @@ REASSEMBLY_IN = pa.schema(
 def reassemble_block(batch: pa.Table) -> pa.Table:
     """Block-local reassembly (requires doc-contiguous blocks, see module
     docstring). Vectorized: one stable sort + factorized cumcount.
+
+    What keeps a block doc-contiguous in an extract pass: Ray cuts a map's
+    output by rows only where it passes 1.5x the Dataset's
+    ``target_max_block_size``, and ``extract_dataset`` sets none on the
+    pass's own context. So no block of the pass is cut, however large a
+    read range turns out in memory (its bound, ``extract.RANGE_BYTES``, is
+    in footer bytes, where a dictionary-encoded string counts once).
 
     Runtime guard (span lineage): every doc in the block must carry its
     complete span-index set {0..n_spans-1} — dropped media spans stay

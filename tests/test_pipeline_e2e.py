@@ -290,6 +290,40 @@ def test_text_passes_do_not_stall(ray_session, small_corpus, tmp_path):
         assert wall < 10.0, f"pass {i} took {wall:.1f} s"
 
 
+def test_no_block_cut_splits_a_document(ray_session, small_corpus, tmp_path, monkeypatch):
+    """Text-only documents whose strings repeat, so that their footer bytes
+    understate their size in memory. With the range byte cap patched small
+    the read plans more ranges than one per worker; with the global block
+    size target set tiny the pass still equals the oracle, because the
+    pass's own context sets no target and Ray cuts none of its blocks."""
+    import re
+
+    import pyarrow as pa
+    from ray.data import DataContext
+
+    from pytorchocr_ray.oracle.extract import oracle_extract
+    from pytorchocr_ray.pipelines import extract
+
+    src = pq.read_table(os.path.join(small_corpus, "documents.parquet"))
+    docs, copies = src.to_pylist(), 10
+    table = pa.Table.from_pydict({
+        "doc_id": [f"{d['doc_id']}~{j}" for j in range(copies) for d in docs],
+        "spans": [[s for s in d["spans"] if s["kind"] != "media"] for d in docs] * copies,
+    }, schema=src.schema)
+    path = str(tmp_path / "docs.parquet")
+    pq.write_table(table, path)
+    footer = pq.read_metadata(path).row_group(0).total_byte_size
+    assert table.nbytes > 2 * footer
+    monkeypatch.setattr(extract, "RANGE_BYTES", footer // 8)
+    monkeypatch.setattr(DataContext.get_current(), "target_max_block_size", 4096)
+    ds = extract.extract_dataset(path, os.path.join(small_corpus, "media.parquet"),
+                                 concurrency=2)
+    got = _canon(ds.to_pandas())
+    tasks = int(re.search(r"ReadParquetRanges.*?: (\d+) tasks executed", ds.stats()).group(1))
+    assert tasks >= 8
+    pd.testing.assert_frame_equal(got, _canon(oracle_extract(table, {}).to_pandas()))
+
+
 def test_finished_pool_frees_its_cpus_for_the_next(ray_session, small_corpus):
     """A finished pass gives every CPU back within seconds, even when
     Python's automatic GC has not run."""

@@ -7,13 +7,13 @@ import pathlib
 import re
 
 import pyarrow.parquet as pq
+import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "pytorchocr_ray"
 
 
 def _split_docs(small_corpus, out_dir, n_files):
-    """The corpus's documents as ``n_files`` parquet files: a read of at
-    least as many files as the blocks it asks for fuses with its maps."""
+    """The corpus's documents as ``n_files`` parquet files."""
     docs = pq.read_table(os.path.join(small_corpus, "documents.parquet"))
     os.makedirs(out_dir)
     step = -(-docs.num_rows // n_files)
@@ -22,13 +22,15 @@ def _split_docs(small_corpus, out_dir, n_files):
     return str(out_dir)
 
 
-def test_extract_pass_is_one_fused_operator(ray_session, small_corpus, tmp_path):
+@pytest.mark.parametrize("n_files", [16, 1])
+def test_extract_pass_is_one_fused_operator(ray_session, small_corpus, tmp_path, n_files):
     """An extract pass written to parquet runs as ONE task operator from
-    the read to the write, with the OCR stage inside it: no actor pool
-    cuts it into separate operators."""
+    the read to the write, with the OCR stage inside it, whatever the file
+    count: no actor pool and no split read cuts it into separate
+    operators."""
     from pytorchocr_ray.pipelines.extract import extract_dataset
 
-    docs = _split_docs(small_corpus, tmp_path / "docs", 16)
+    docs = _split_docs(small_corpus, tmp_path / "docs", n_files)
     ds = extract_dataset(docs, os.path.join(small_corpus, "media.parquet"), concurrency=2)
     ds.write_parquet(str(tmp_path / "out"))
     ops = re.findall(r"^Operator \d+ (.+?): \d+ tasks executed", ds.stats(), re.M)
